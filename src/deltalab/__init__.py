@@ -8,7 +8,9 @@ quantitative refutation certificates.  Every construction re-verifies its
 own output; nothing unchecked is ever returned.
 """
 
-from . import ck, cli, core, crosscheck, l1, lp, muntz, serialize, sums, util
+import importlib
+
+from . import ck, core, crosscheck, l1, lp, muntz, serialize, sums, util
 from .core import (
     Certificate,
     CertificationError,
@@ -27,6 +29,14 @@ from .core import (
 from .crosscheck import crosscheck_characterizations
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use: imported here eagerly, `python -m deltalab.cli`
+    # would find it in sys.modules before running it and warn
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Certificate", "CertificationError", "DeltaLabError", "Rank1Operator",

@@ -17,7 +17,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -33,7 +32,7 @@ from .core import (
     DeltaLabError,
     VerificationError,
 )
-from .util import fmt17, thread_cap
+from .util import fmt17
 
 
 class UsageError(DeltaLabError):
@@ -202,24 +201,7 @@ def _cmd_crosscheck(params, seed):
     tol = params.get("tol")
     tol = float(tol) if tol is not None else None
 
-    workers = thread_cap()
-    if workers > 1 and len(grid) > 1:
-        def one(eps):
-            return crosscheck_mod.crosscheck_characterizations(
-                point, [eps], tol=tol, seed=seed)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, grid))
-        rows = [r for part in parts for r in part.rows]
-        hull_delta = all(r.delta_ok for r in rows)
-        hull_daug = all(r.daugavet_ok for r in rows)
-        rep = crosscheck_mod.CrosscheckReport(
-            rows=tuple(rows), hull_delta=hull_delta, hull_daugavet=hull_daug,
-            theorem_delta=parts[0].theorem_delta,
-            theorem_daugavet=parts[0].theorem_daugavet,
-            agree=(hull_delta == parts[0].theorem_delta)
-                  and (hull_daug == parts[0].theorem_daugavet))
-    else:
-        rep = crosscheck_mod.crosscheck_characterizations(point, grid, tol=tol, seed=seed)
+    rep = crosscheck_mod.crosscheck_characterizations(point, grid, tol=tol, seed=seed)
     return [{
         "space": space,
         "agree": rep.agree,

@@ -22,13 +22,13 @@ witness must lie inside the slice itself (matching the Daugavet criterion);
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from . import lp
-from .util import UNIT_TOL, as_fraction, sgn
+from .util import UNIT_TOL, as_fraction
 
 
 class SpaceTag(Enum):

@@ -12,7 +12,6 @@ the polyhedral operations below are bit-exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +22,6 @@ from .core import (
     Certificate,
     DeltaLabError,
     Functional,
-    Rank1Operator,
     Refutation,
     Slice,
     SlicePolytope,

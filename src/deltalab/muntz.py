@@ -212,14 +212,16 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
             best, at = v, u
 
     heap = [(-bound(u_lo, u_hi), u_lo, u_hi)]
-    stuck_hi = 0.0
+    # bounds of intervals left unsplit (unsplittable or pruned): the sup may
+    # sit in one of them, so `hi` must cover them all
+    dropped_hi = 0.0
     for _ in range(max_nodes):
         if not heap:
-            return Enclosure(best, max(best, stuck_hi), at)
+            return Enclosure(best, max(best, dropped_hi), at)
         neg_ub, a, b = heapq.heappop(heap)
         ub = -neg_ub
         if ub <= best + tol:
-            return Enclosure(best, max(best, ub, stuck_hi), at)
+            return Enclosure(best, max(best, ub, dropped_hi), at)
         if a > 0 and b / a > 16.0:
             mid = math.sqrt(a * b)
         elif a == 0.0 and b > 1e-12:
@@ -227,7 +229,7 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
         else:
             mid = 0.5 * (a + b)
         if not (a < mid < b):
-            stuck_hi = max(stuck_hi, ub)
+            dropped_hi = max(dropped_hi, ub)
             continue
         v = val(mid)
         if v > best:
@@ -236,6 +238,8 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
             child = bound(lo_, hi_)
             if child > best + 0.5 * tol:
                 heapq.heappush(heap, (-child, lo_, hi_))
+            else:
+                dropped_hi = max(dropped_hi, child)
     raise CertificationError(f"sup-norm enclosure not within {tol} after {max_nodes} nodes")
 
 
@@ -469,13 +473,38 @@ class Spike:
     peak_u: float
 
 
+def bump_log_sup(lam_a, lam_b) -> float:
+    """ln of sup over [0,1] of t^a - t^b, in closed form.
+
+    For 0 < a < b and r = a/b the peak sits at t* = r^{1/(b-a)} and is
+    h(r) = r^{r/(1-r)} (1 - r) (Borwein & Erdelyi, Polynomials and
+    Polynomial Inequalities, GTM 161): a function of the ratio alone, so
+    exponents near 1e27 cost nothing.  r is the exact ratio, rounded once;
+    r = 0 gives h = 1, and r that rounds to 1 (or a >= b) gives -inf.
+    """
+    r = as_fraction(lam_a) / as_fraction(lam_b)
+    if r == 0:
+        return 0.0
+    r = float(r)
+    if r >= 1.0:
+        return -math.inf
+    return r / (1.0 - r) * math.log(r) + math.log1p(-r)
+
+
+#: ln(1/2) plus a margin that the float error of bump_log_sup cannot cross
+FAR_LOG = math.log(0.5) + 1e-9
+
+
 def spike_search(ladder: ExponentLadder, eps, delta, norm_tol=NORM_TOL) -> Spike:
     """Normalized two-term bump (t^{lam_k} - t^{lam_l}) / norm: nonnegative,
     and certified below `delta` on [0, 1-eps].
 
-    k is minimal with (1-eps)^{lam_k} < delta/2 and l minimal above k with
-    certified two-term norm > 1/2 (both predicates are monotone in the
-    exponent, so binary search preserves minimality).
+    k is minimal with (1-eps)^{lam_k} < delta/2.  l is minimal above k with
+    closed-form two-term peak bump_log_sup(lam_k, lam_l) > FAR_LOG, i.e.
+    above 1/2 by a margin float error cannot cross.  Both predicates are
+    monotone in the exponent, so binary search preserves minimality.  The
+    chosen bump is then certified by enclosures: its normalization, and its
+    sup below `delta` on [0, 1-eps].
     """
     eps, delta = float(eps), float(delta)
     if not (0 < eps < 1 and 0 < delta < 1):
@@ -487,19 +516,10 @@ def spike_search(ladder: ExponentLadder, eps, delta, norm_tol=NORM_TOL) -> Spike
     k = ladder.min_index_where(lambda lam: float(lam) * log_base < thresh)
     lam_k = ladder.lambda_at(k)
 
-    def norm_enc(l, tol):
-        pairs = ((lam_k, Fraction(1)), (ladder.lambda_at(l), Fraction(-1)))
-        return sup_abs_bb(pairs, Fraction(0), 0.0, 1.0, tol)
-
-    def far_enough(lam_l):
-        pairs = ((lam_k, Fraction(1)), (lam_l, Fraction(-1)))
-        enc = sup_abs_bb(pairs, Fraction(0), 0.0, 1.0, 1e-4)
-        if enc.lo <= 0.5 < enc.hi:  # straddling: decide at full precision
-            enc = sup_abs_bb(pairs, Fraction(0), 0.0, 1.0, 1e-12)
-        return enc.lo > 0.5
-
-    l = ladder.min_index_where(lambda lam: lam > lam_k and far_enough(lam))
-    raw_enc = norm_enc(l, norm_tol)
+    # lam <= lam_k gives -inf, so the predicate also keeps l above k
+    l = ladder.min_index_where(lambda lam: bump_log_sup(lam_k, lam) > FAR_LOG)
+    pairs = ((lam_k, Fraction(1)), (ladder.lambda_at(l), Fraction(-1)))
+    raw_enc = sup_abs_bb(pairs, Fraction(0), 0.0, 1.0, norm_tol)
     scale = as_fraction(2.0 / (raw_enc.lo + raw_enc.hi))
     f = MuntzPolynomial(ladder, ((k, scale), (l, -scale)))
 

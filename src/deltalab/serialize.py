@@ -14,7 +14,7 @@ from . import ck as ck_mod
 from . import l1 as l1_mod
 from . import muntz as muntz_mod
 from . import sums as sums_mod
-from .core import Certificate, DeltaLabError, Rank1Operator, Refutation
+from .core import Certificate, DeltaLabError, Rank1Operator
 from .util import fmt17, frac_str
 
 

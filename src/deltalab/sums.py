@@ -30,7 +30,7 @@ from .core import (
     VerificationError,
     require_unit,
 )
-from .util import UNIT_TOL, as_fraction, sgn
+from .util import UNIT_TOL, as_fraction
 
 
 class InsufficientCertificateError(DeltaLabError):
@@ -185,10 +185,6 @@ class AbsoluteNorm:
             return (abs(float(c)) ** q + abs(float(d)) ** q) ** (1 / q)
         c, d = as_fraction(c), as_fraction(d)
         return max(c * vx + d * vy for vx, vy in self.hull)
-
-    @property
-    def is_exact(self):
-        return self.kind == "polygonal" or (self.kind == "lp" and self.p in (1.0, math.inf))
 
     def name(self):
         return self.label or self.kind

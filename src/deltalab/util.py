@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 #: tolerance for "unit norm" preconditions throughout the package
@@ -42,13 +41,3 @@ def fmt17(x) -> str:
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def thread_cap(default: int = 1) -> int:
-    """Parallelism cap from DELTA_LAB_THREADS (>=1; bad values fall back)."""
-    raw = os.environ.get("DELTA_LAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import deltalab
 from deltalab import ck, cli, l1, muntz, serialize, sums
 from deltalab.core import VerificationError
 
@@ -190,10 +195,28 @@ def test_out_file(tmp_path, capsys):
     assert rep["results"][0]["witness"] == ["1", "0"]
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("DELTA_LAB_THREADS", "2")
-    code, out = run_cli(
-        ["crosscheck", "--space", "ck", "--point", '{"prefix":[1],"limit":0}',
-         "--tol", "0.05"], capsys)
-    assert code == 0
-    assert json.loads(out)["results"][0]["agree"] is True
+def test_crosscheck_report_ignores_thread_env(monkeypatch, capsys):
+    # the report depends on the RunConfig only, never on the environment
+    argv = ["crosscheck", "--space", "ck", "--point", '{"prefix":[1],"limit":0}',
+            "--tol", "0.05"]
+    outs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("DELTA_LAB_THREADS", threads)
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["results"][0]["agree"] is True
+
+
+def test_module_run_without_runtime_warning():
+    # `python -m deltalab.cli` must not find deltalab.cli already imported
+    src = str(Path(deltalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "deltalab.cli",
+         "sums", "--dirichlet", "2/5,3/5", "--eps", "1/20"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -73,6 +73,102 @@ def test_bb_handles_deep_spikes():
     assert abs(enc.lo - expect) < 1e-6
 
 
+def _mp_sup(mpmath, terms):
+    """max |p| on [0,1] for p = sum c t^e (integer e), at 50 digits: the
+    larger of |p(1)| and |p| at the real critical points in (0,1), found by
+    numpy and polished by Newton in mpmath."""
+    mp = mpmath.mp
+    exps = [(int(e), mp.mpf(c.numerator) / c.denominator) for e, c in terms]
+    deg = max(e for e, _ in exps)
+    dcoeffs = np.zeros(deg)
+    for e, c in exps:
+        dcoeffs[deg - e] = float(c) * e
+    crit = [mp.mpf(1)]
+    for z in np.roots(np.trim_zeros(dcoeffs, "f")):
+        if abs(z.imag) < 1e-3 and 0 < z.real < 1:
+            crit.append(mpmath.findroot(
+                lambda t: mp.fsum(c * e * t ** (e - 1) for e, c in exps), mp.mpf(z.real)))
+    return max(abs(mp.fsum(c * t ** e for e, c in exps)) for t in crit if 0 <= t <= 1)
+
+
+def test_bb_upper_bound_covers_true_sup():
+    # pruned intervals used to be dropped, leaving hi up to 8.5e-12 below
+    # the true sup on 14 of these draws
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(297):
+        terms = {}
+        for _ in range(rng.randrange(1, 6)):
+            k = rng.randrange(1, 7)
+            terms[k * k] = terms.get(k * k, 0) + F(rng.randrange(-8, 9), 8)
+        pairs = [(F(e), c) for e, c in terms.items() if c]
+        if not pairs:
+            continue
+        checked += 1
+        with mpmath.workdps(50):
+            true_sup = _mp_sup(mpmath, pairs)
+        enc = muntz.sup_abs_bb(pairs)
+        assert enc.hi >= true_sup, (pairs, float(true_sup - enc.hi))
+        assert enc.lo <= true_sup + 1e-15
+    assert checked == 294
+
+
+# ---------------------------------------------------------------------------
+# the closed-form two-term peak
+
+
+@pytest.mark.parametrize("scale", [1, 10**9, 10**27])
+def test_bump_closed_form_matches_bb(scale):
+    rng = random.Random(scale)
+    for _ in range(12):
+        a = rng.randrange(1, 60)
+        b = a + rng.randrange(1, 200)
+        pairs = ((F(a * scale), F(1)), (F(b * scale), F(-1)))
+        enc = muntz.sup_abs_bb(pairs, tol=1e-12)
+        h = math.exp(muntz.bump_log_sup(a * scale, b * scale))
+        assert abs(h - enc.lo) < 1e-9
+
+
+def test_bump_closed_form_guards():
+    # r = 0: sup of 1 - t^b is 1
+    assert muntz.bump_log_sup(0, 5) == 0.0
+    # r rounding to 1, and a >= b: no division by zero, never far enough
+    big = 10**30
+    for a, b in ((big, big + 1), (7, 7), (9, 4)):
+        assert muntz.bump_log_sup(a, b) == -math.inf
+        assert not muntz.bump_log_sup(a, b) > muntz.FAR_LOG
+    # just short of rounding: h ~ (1 - r)/e, tiny but finite
+    r = 1 - F(1, 2**40)
+    assert math.exp(muntz.bump_log_sup(r, 1)) == pytest.approx(2.0**-40 / math.e, rel=1e-6)
+
+
+# (eps, delta) -> (k, l) on the criterion-8 grid, squares ladder
+SPIKE_GRID = {
+    (0.5, 0.5): (2, 5), (0.5, 0.25): (2, 5), (0.5, 0.1): (3, 7),
+    (0.25, 0.5): (3, 7), (0.25, 0.25): (3, 7), (0.25, 0.1): (4, 9),
+    (0.1, 0.5): (4, 9), (0.1, 0.25): (5, 11), (0.1, 0.1): (6, 13),
+}
+
+
+def test_spike_grid_golden():
+    got = {}
+    for eps, delta in SPIKE_GRID:
+        sp = muntz.spike_search(LAD, eps, delta)
+        got[eps, delta] = (sp.k, sp.l)
+    assert got == SPIKE_GRID
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-9, 1e-25])
+def test_spike_l_minimal_under_closed_form(eps):
+    sp = muntz.spike_search(LAD, eps, 0.05)
+    lam_k = LAD.lambda_at(sp.k)
+    assert muntz.bump_log_sup(lam_k, LAD.lambda_at(sp.l)) > muntz.FAR_LOG
+    assert not muntz.bump_log_sup(lam_k, LAD.lambda_at(sp.l - 1)) > muntz.FAR_LOG
+    assert sp.off_interval_sup < 0.05
+    assert 1 - 1e-8 <= sp.norm_enclosure.lo <= sp.norm_enclosure.hi <= 1 + 1e-8
+
+
 # ---------------------------------------------------------------------------
 # sign-change counting
 
