@@ -29,6 +29,7 @@ from .core import (
     VerificationError,
     Verdict,
     WitnessRecord,
+    convex_combination,
     cube_slice_vertices,
     require_unit,
 )
@@ -277,7 +278,7 @@ def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitn
     dmin = min((f - gi).norm() for gi in members)
     if dmin < 2 - eps:
         raise VerificationError(f"witness distance {float(dmin)} below 2 - eps")
-    avg = _average(members)
+    avg = convex_combination(members, [Fraction(1, m)] * m)
     err = (g - avg).norm()
     if err > Fraction(2, m):
         raise VerificationError(f"average drifted {float(err)} > 2/m")
@@ -291,15 +292,6 @@ def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitn
             members=tuple((gi, Fraction(1, m)) for gi in members),
             min_distance=dmin, combo_error=Fraction(2, m), anchor=f),))
     return CkWitness(tuple(members), tuple(fresh), dmin, err, avg, cert)
-
-
-def _average(points):
-    acc = None
-    w = Fraction(1, len(points))
-    for p in points:
-        term = w * p
-        acc = term if acc is None else acc + term
-    return acc
 
 
 @dataclass(frozen=True)

@@ -184,10 +184,8 @@ class Certificate:
                     if d < 2 - rec.eps - slack:
                         raise VerificationError(
                             f"witness member at distance {float(d)} < 2 - eps")
-            combo = None
-            for member, weight in rec.members:
-                term = weight * member
-                combo = term if combo is None else combo + term
+            combo = convex_combination([m for m, _ in rec.members],
+                                       [w for _, w in rec.members])
             if rec.target is not None and combo is not None:
                 err = (rec.target - combo).norm()
                 if err > rec.combo_error + UNIT_TOL:
@@ -328,7 +326,7 @@ def _hull_distance_exchange(target, points, tol, max_rounds):
             cost, A_ub=A_ub, b_ub=b_ub, A_eq=[[1.0] * k + [0.0]], b_eq=[1.0],
             bounds=[(0, None)] * k + [(None, None)])
         lam = z[:k]
-        residual = target - _combine(points, lam)
+        residual = target - convex_combination(points, [float(v) for v in lam])
         enc = residual.sup_enclosure(max(tol * 0.25, 1e-13))
         upper = enc.hi
         if upper - lower <= tol:
@@ -342,10 +340,11 @@ def _hull_distance_exchange(target, points, tol, max_rounds):
     raise CertificationError(f"hull distance gap > {tol} after {max_rounds} rounds")
 
 
-def _combine(points, weights):
+def convex_combination(points, weights):
+    """sum_i w_i p_i folded left to right; None when there are no points."""
     acc = None
     for p, w in zip(points, weights):
-        term = float(w) * p
+        term = w * p
         acc = term if acc is None else acc + term
     return acc
 

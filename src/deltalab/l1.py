@@ -29,6 +29,7 @@ from .core import (
     VerificationError,
     Verdict,
     WitnessRecord,
+    convex_combination,
     crosspolytope_slice_vertices,
     require_unit,
     slice_diameter,
@@ -541,10 +542,7 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
     for m in members:
         if (fl - m).norm() < 2 - eps:
             raise VerificationError("far-family member is not far enough")
-    combo = None
-    for m, w in zip(members, weights):
-        term = w * m
-        combo = term if combo is None else combo + term
+    combo = convex_combination(members, weights)
     if (tgt - combo).norm() != 0:
         raise VerificationError("far family fails to reproduce the target")
     return members, weights, model, fl, tgt

@@ -33,6 +33,7 @@ from .core import (
     SpaceTag,
     VerificationError,
     Verdict,
+    convex_combination,
     hull_distance_info,
 )
 from .util import UNIT_TOL, as_fraction, sgn
@@ -666,12 +667,7 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
         members.append(member)
         dists.append(dist)
 
-    avg = None
-    w = Fraction(1, m)
-    for member in members:
-        term = w * member
-        avg = term if avg is None else avg + term
-    resid = gg - avg
+    resid = gg - convex_combination(members, [Fraction(1, m)] * len(members))
     enc_r = resid.sup_enclosure(1e-9)
     structural = delta / (1 + delta) + float(coef) / (m * (1 + delta)) * (
         1 + (m - 1) * delta / 2)

@@ -28,6 +28,7 @@ from .core import (
     DeltaLabError,
     SpaceTag,
     VerificationError,
+    convex_combination,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction
@@ -80,7 +81,7 @@ class AbsoluteNorm:
 
     def __post_init__(self):
         if self.kind == "lp":
-            if self.p is None or (self.p != math.inf and self.p < 1):
+            if self.p is None or not self.p >= 1:
                 raise DeltaLabError("lp norms need p in [1, inf]")
         elif self.kind == "polygonal":
             verts = tuple((as_fraction(a), as_fraction(b))
@@ -259,36 +260,36 @@ def _normalize_weights(weights):
     return [v / total for v in w]
 
 
-def dirichlet_average(weights, eps, n_max=1_000_000):
-    """Smallest n (under the scan order) with counts k_i summing to n and
-    sum |w_i - k_i/n| < eps; largest-remainder rounding at each n."""
+def _dirichlet_scan(vectors, eps, n_max):
+    """Smallest n (under the scan order) whose largest-remainder counts k
+    sum to n with sum |w_i - k_i/n| < eps for every weight vector w."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise DeltaLabError("eps must be positive")
-    w = _normalize_weights(weights)
+    ws = [_normalize_weights(v) for v in vectors]
     for n in range(1, n_max + 1):
-        counts = _round_counts(w, n)
-        if any(k < 0 for k in counts) or sum(counts) != n:
-            continue
-        err = sum(abs(wi - Fraction(k, n)) for wi, k in zip(w, counts))
-        if err < eps:
-            return n, tuple(counts)
-    raise DeltaLabError("dirichlet scan exhausted (unreachable for positive eps)")
+        counts = []
+        for w in ws:
+            c = _round_counts(w, n)
+            if (sum(c) != n or min(c) < 0
+                    or sum(abs(wi - Fraction(k, n)) for wi, k in zip(w, c)) >= eps):
+                break
+            counts.append(tuple(c))
+        else:
+            return n, counts
+    raise DeltaLabError("dirichlet scan exhausted")
+
+
+def dirichlet_average(weights, eps, n_max=1_000_000):
+    """Smallest n with counts k_i summing to n and sum |w_i - k_i/n| < eps."""
+    n, (counts,) = _dirichlet_scan([weights], eps, n_max)
+    return n, counts
 
 
 def dirichlet_average_pair(weights_x, weights_y, eps, n_max=1_000_000):
     """One common n making both weight vectors eps-close to k/n averages."""
-    eps = as_fraction(eps)
-    wx, wy = _normalize_weights(weights_x), _normalize_weights(weights_y)
-    for n in range(1, n_max + 1):
-        cx, cy = _round_counts(wx, n), _round_counts(wy, n)
-        if sum(cx) != n or sum(cy) != n or min(cx + cy, default=0) < 0:
-            continue
-        ex = sum(abs(w - Fraction(k, n)) for w, k in zip(wx, cx))
-        ey = sum(abs(w - Fraction(k, n)) for w, k in zip(wy, cy))
-        if ex < eps and ey < eps:
-            return n, tuple(cx), tuple(cy)
-    raise DeltaLabError("dirichlet scan exhausted")
+    n, (cx, cy) = _dirichlet_scan([weights_x, weights_y], eps, n_max)
+    return n, cx, cy
 
 
 # ---------------------------------------------------------------------------
@@ -327,33 +328,25 @@ def is_positively_octahedral(norm: AbsoluteNorm, tol=None, grid_n=4096) -> Octah
         for a, b in candidates:
             if norm(a, b) == 1 and norm(a + 1, b) == 2 and norm(a, b + 1) == 2:
                 return OctahedralResult(True, (a, b), 2.0, True)
-        best = _octahedral_grid_max(norm, grid_n)
-        return OctahedralResult(False, None, best, True)
 
-    tol = 1e-6 if tol is None else tol
     best, arg = -1.0, None
-    for i in range(grid_n + 1):
-        th = math.pi / 2 * i / grid_n
-        ux, uy = math.cos(th), math.sin(th)
-        nrm = float(norm(ux, uy))
-        a, b = ux / nrm, uy / nrm
+    for a, b in _unit_arc(norm, grid_n):
         v = min(float(norm(a + 1, b)), float(norm(a, b + 1)))
         if v > best:
             best, arg = v, (a, b)
-    if best >= 2 - tol:
-        return OctahedralResult(True, arg, best, False)
-    return OctahedralResult(False, arg, best, False)
+    if norm.kind == "polygonal":
+        return OctahedralResult(False, None, best, True)
+    tol = 1e-6 if tol is None else tol
+    return OctahedralResult(best >= 2 - tol, arg, best, False)
 
 
-def _octahedral_grid_max(norm, grid_n):
-    best = -1.0
-    for i in range(grid_n + 1):
-        th = math.pi / 2 * i / grid_n
+def _unit_arc(norm, n, stride=1):
+    """N-unit vectors at the angles pi/2 * i/n, i = 0, stride, ... <= n."""
+    for i in range(0, n + 1, stride):
+        th = math.pi / 2 * i / n
         ux, uy = math.cos(th), math.sin(th)
         nrm = float(norm(ux, uy))
-        a, b = ux / nrm, uy / nrm
-        best = max(best, min(float(norm(a + 1, b)), float(norm(a, b + 1))))
-    return best
+        yield ux / nrm, uy / nrm
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +401,7 @@ def _alpha_record(norm: AbsoluteNorm, c, d, grid_n) -> AlphaRecord:
     for _ in range(4):
         step = math.pi / 2 / n
         worst = 0.0
-        for i in range(n + 1):
-            th = math.pi / 2 * i / n
-            ux, uy = math.cos(th), math.sin(th)
-            nrm = float(norm(ux, uy))
-            a, b = ux / nrm, uy / nrm
+        for a, b in _unit_arc(norm, n):
             if float(norm(a - cf, b - df)) >= r:
                 worst = max(worst, float(norm(a + cf, b + df)) + 9 * step)
         for i in range(4 * n + 1):
@@ -441,12 +430,7 @@ def has_property_alpha(norm: AbsoluteNorm, tol=None, grid_n=4096) -> AlphaResult
         return AlphaResult(False, "positively octahedral", octa.witness, None, (),
                            norm=norm, grid_n=grid_n)
 
-    pts = []
-    for i in range(0, grid_n + 1, max(1, grid_n // 256)):
-        th = math.pi / 2 * i / grid_n
-        ux, uy = math.cos(th), math.sin(th)
-        nrm = float(norm(ux, uy))
-        pts.append((ux / nrm, uy / nrm))
+    pts = list(_unit_arc(norm, grid_n, max(1, grid_n // 256)))
     margin = math.inf
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
         mid = float(norm((ax + bx) / 2, (ay + by) / 2))
@@ -496,10 +480,6 @@ def _is_daugavet(point) -> bool:
     raise DeltaLabError(f"no Daugavet decision for {type(point).__name__}")
 
 
-def _zero_like(point):
-    return 0 * point
-
-
 def _scaled_family(anchor, target_component, scale, eps_comp, gamma, fam):
     """Far family for the normalized target, members rescaled by `scale`.
 
@@ -508,7 +488,7 @@ def _scaled_family(anchor, target_component, scale, eps_comp, gamma, fam):
     scaled target); lifting (L1 refinement) depends only on (anchor, eps),
     so repeated calls stay on one model."""
     if scale == 0:
-        return [(_zero_like(anchor), Fraction(1))], anchor, _zero_like(anchor)
+        return [(0 * anchor, Fraction(1))], anchor, 0 * anchor
     normalized = (1 / as_fraction(scale)) * target_component
     members, weights, anchor2, target2 = fam(anchor, normalized, eps_comp, gamma)
     scale = as_fraction(scale)
@@ -525,31 +505,31 @@ class SumConstructResult:
     avg_error: float
 
 
-def _assemble_pairs(parts_x, parts_y, anchor_pair, norm, eps, delta, target):
-    """Pair weighted component families into equal-count sum members and
-    re-verify distances and the average against the target."""
-    ax, ay = anchor_pair
+def _equal_counts(parts_x, parts_y, eps):
+    """Round two weighted families to one common count n (Dirichlet, eps)
+    and repeat each member by its count; returns (n, xs, ys)."""
     mem_x, w_x = zip(*parts_x)
     mem_y, w_y = zip(*parts_y)
-    n, cx, cy = dirichlet_average_pair(w_x, w_y, as_fraction(delta) / 4)
+    n, cx, cy = dirichlet_average_pair(w_x, w_y, eps)
     xs = [m for m, k in zip(mem_x, cx) for _ in range(k)]
     ys = [m for m, k in zip(mem_y, cy) for _ in range(k)]
-    members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
+    return n, xs, ys
 
-    z = SumPoint(ax, ay, norm)
-    dmin = min(float(z.distance(mem)) for mem in members)
+
+def _verify_far_average(anchor, members, n, eps, target, bound, what):
+    """Re-verify that every member is 2 - eps far from the anchor and that
+    the equal-weight average of the n members lies within bound of target;
+    returns (min distance, average error)."""
+    dmin = min(float(anchor.distance(mem)) for mem in members)
     if dmin < 2 - float(eps) - 1e-9:
         raise VerificationError(
-            f"constructed member at distance {dmin} < 2 - eps from the anchor")
-    avg = None
-    w = Fraction(1, n)
-    for mem in members:
-        term = w * mem
-        avg = term if avg is None else avg + term
+            f"{what} member at distance {dmin} < 2 - eps from the anchor")
+    avg = convex_combination(members, [Fraction(1, n)] * n)
     err = float(target.distance(avg))
-    if err > float(delta) + 1e-9:
-        raise VerificationError(f"average misses the target by {err} > delta")
-    return members, n, dmin, err
+    if err > float(bound) + 1e-9:
+        raise VerificationError(
+            f"{what} average misses the target by {err} > {float(bound)}")
+    return dmin, err
 
 
 def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
@@ -583,33 +563,34 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
         if r >= 1 - UNIT_TOL:
             branches = [(target, Fraction(1))]
         elif r == 0:
-            zp = SumPoint(x, _zero_like(y), norm)
+            zp = SumPoint(x, 0 * y, norm)
             branches = [(zp, Fraction(1, 2)), (-zp, Fraction(1, 2))]
         else:
             zp = (1 / r) * target
             branches = [(zp, (1 + r) / 2), (-zp, (1 - r) / 2)]
 
-        parts_x, parts_y = [], []
+        parts_x, parts_y, tx, ty = [], [], [], []
         anchor_x, anchor_y = x, y
-        tx_acc = ty_acc = None
         for branch, bw in branches:
             su, sv = branch.x.norm(), branch.y.norm()
-            bx, anchor_x, tx = _scaled_family(x, branch.x, su, eps_comp, gamma, fam_x)
-            by, anchor_y, ty = _scaled_family(y, branch.y, sv, eps_comp, gamma, fam_y)
+            bx, anchor_x, t = _scaled_family(x, branch.x, su, eps_comp, gamma, fam_x)
+            tx.append(t)
+            by, anchor_y, t = _scaled_family(y, branch.y, sv, eps_comp, gamma, fam_y)
+            ty.append(t)
             # equalize the branch pair before merging across branches
-            n, cx, cy = dirichlet_average_pair([w for _, w in bx], [w for _, w in by],
-                                               gamma)
-            xs = [m for (m, _), k in zip(bx, cx) for _ in range(k)]
-            ys = [m for (m, _), k in zip(by, cy) for _ in range(k)]
+            n, xs, ys = _equal_counts(bx, by, gamma)
             parts_x += [(m, bw / n) for m in xs]
             parts_y += [(m, bw / n) for m in ys]
-            tx_acc = bw * tx if tx_acc is None else tx_acc + bw * tx
-            ty_acc = bw * ty if ty_acc is None else ty_acc + bw * ty
 
-        target_check = SumPoint(tx_acc, ty_acc, norm)
-        members, n, dmin, err = _assemble_pairs(
-            parts_x, parts_y, (a * anchor_x, b * anchor_y), norm, eps, delta,
-            target_check)
+        # pair the merged families into equal-count sum members and re-verify
+        bws = [bw for _, bw in branches]
+        target_check = SumPoint(convex_combination(tx, bws),
+                                convex_combination(ty, bws), norm)
+        n, xs, ys = _equal_counts(parts_x, parts_y, gamma)
+        members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
+        anchor = SumPoint(a * anchor_x, b * anchor_y, norm)
+        dmin, err = _verify_far_average(anchor, members, n, eps, target_check, delta,
+                                        "constructed")
         results.append(SumConstructResult(target, tuple(members), n, dmin, err))
     return results
 
@@ -637,37 +618,22 @@ def sum_delta_lift(x, y, norm: AbsoluteNorm, a, b, eps, gamma) -> LiftResult:
 
     gam = as_fraction(gamma) / 2
     if a == 0:
-        parts_x, anchor_x = [(_zero_like(x), Fraction(1))], x
+        parts_x, anchor_x = [(0 * x, Fraction(1))], x
     else:
         fam = _family_for(x)
         members, weights, anchor_x, _ = fam(x, x, eps, gam)
         parts_x = list(zip(members, weights))
     if b == 0:
-        parts_y, anchor_y = [(_zero_like(y), Fraction(1))], y
+        parts_y, anchor_y = [(0 * y, Fraction(1))], y
     else:
         fam = _family_for(y)
         members, weights, anchor_y, _ = fam(y, y, eps, gam)
         parts_y = list(zip(members, weights))
 
-    mem_x, w_x = zip(*parts_x)
-    mem_y, w_y = zip(*parts_y)
-    n, cx, cy = dirichlet_average_pair(w_x, w_y, gam)
-    xs = [m for m, k in zip(mem_x, cx) for _ in range(k)]
-    ys = [m for m, k in zip(mem_y, cy) for _ in range(k)]
+    n, xs, ys = _equal_counts(parts_x, parts_y, gam)
     members = [SumPoint(a * px, b * py, norm) for px, py in zip(xs, ys)]
-
     z = SumPoint(a * anchor_x, b * anchor_y, norm)
-    dmin = min(float(z.distance(mem)) for mem in members)
-    if dmin < 2 - float(eps) - 1e-9:
-        raise VerificationError(f"lift member at distance {dmin} < 2 - eps")
-    avg = None
-    w = Fraction(1, n)
-    for mem in members:
-        term = w * mem
-        avg = term if avg is None else avg + term
-    err = float(z.distance(avg))
-    if err > float(gamma) + 1e-9:
-        raise VerificationError(f"lift average misses (a x, b y) by {err}")
+    dmin, err = _verify_far_average(z, members, n, eps, z, gamma, "lift")
     return LiftResult(z, tuple(members), n, dmin, err)
 
 
@@ -710,9 +676,9 @@ def sum_refute_daugavet(z: SumPoint, record: AlphaRecord,
         if abs(float(unit.norm()) - 1) > 1e-9:
             raise DeltaLabError("direction must be unit norm")
     if side == "x":
-        dirpoint = SumPoint(unit, _zero_like(z.y), z.norm_rule)
+        dirpoint = SumPoint(unit, 0 * z.y, z.norm_rule)
     else:
-        dirpoint = SumPoint(_zero_like(z.x), unit, z.norm_rule)
+        dirpoint = SumPoint(0 * z.x, unit, z.norm_rule)
     return SumRefutation(delta=delta, direction=dirpoint, record=record, side=side)
 
 
@@ -799,10 +765,7 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
         picks = [members[rng.randrange(len(members))] for _ in range(k)]
         raw = [rng.random() for _ in range(k)]
         tot = sum(raw)
-        combo = None
-        for pt, wv in zip(picks, raw):
-            term = (wv / tot) * pt
-            combo = term if combo is None else combo + term
+        combo = convex_combination(picks, [wv / tot for wv in raw])
         combo_best = min(combo_best, float(refutation.direction.distance(combo)))
     if combo_best < refutation.delta - tol:
         raise VerificationError(

@@ -160,6 +160,11 @@ def test_reports_are_byte_identical(capsys):
 def test_malformed_point_exits_one(capsys):
     code, _ = run_cli(["certify", "--space", "ck", "--point", "{not json"], capsys)
     assert code == 1
+    # JSON of the wrong shape is malformed input too, and gets a report
+    for point in ("[1]", '{"prefix":5}'):
+        code, out = run_cli(["certify", "--space", "ck", "--point", point], capsys)
+        assert code == 1
+        assert "error" in json.loads(out)
 
 
 def test_bad_flag_exits_one(capsys):
@@ -174,6 +179,10 @@ def test_precondition_violation_exits_one(capsys):
         capsys)
     assert code == 1
     assert "error" in json.loads(out)
+    # lp norms need 1 <= p <= inf, which p = nan fails
+    code, out = run_cli(["sums", "--norm", "lp:nan", "--check", "alpha"], capsys)
+    assert code == 1
+    assert "lp norms need p in [1, inf]" in json.loads(out)["error"]
 
 
 def test_verification_failure_exits_two(capsys, monkeypatch):

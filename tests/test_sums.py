@@ -20,6 +20,16 @@ ONE = ck.TailSequence((), 1)
 ZERO = ck.TailSequence((), 0)
 
 
+def _seqs(members):
+    """Members of a sum of sequence models as ((prefix, limit), (prefix, limit))."""
+    return [((m.x.prefix, m.x.limit), (m.y.prefix, m.y.limit)) for m in members]
+
+
+def _flips(ks, head):
+    """The sequences head (k times), then -head, then head forever."""
+    return [((head,) * k + (-head,), head) for k in ks]
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -104,6 +114,17 @@ def test_dirichlet_pair_common_count():
     assert sum(cx) == n == sum(cy)
 
 
+def test_dirichlet_scans_need_positive_eps():
+    w = [F(1, 3), F(2, 3)]
+    with pytest.raises(core.DeltaLabError, match="eps must be positive"):
+        sums.dirichlet_average_pair(w, w, 0, n_max=10)
+    # an L1 component reaches the scan without dividing by delta first
+    x = l1.StepFunction(l1.MeasureModel((("c0", 1, "NONATOMIC"),)), (1,))
+    with pytest.raises(core.DeltaLabError, match="eps must be positive"):
+        sums.sum_daugavet_construct(x, x, L1N, F(1, 2), F(1, 2),
+                                    [sums.SumPoint(x, 0 * x, L1N)], eps=F(1, 4), delta=0)
+
+
 # ---------------------------------------------------------------------------
 # octahedrality and the separation property
 
@@ -125,6 +146,9 @@ def test_octahedral_l2_fails_with_gap():
     assert not res.verdict
     assert abs(res.value - 2 * math.cos(math.pi / 8)) < 1e-6
     assert res.value < 2 - 0.15
+    # a polygon without witness reports the grid maximum, labelled exact
+    res = sums.is_positively_octahedral(OCTAGON)
+    assert (res.verdict, res.witness, res.value, res.exact) == (False, None, 1.875, True)
 
 
 def test_alpha_verdicts():
@@ -150,6 +174,14 @@ def test_alpha_record_contents():
     assert rec.eps > 0
     assert rec.sup_bound < 1
     assert rec.route in ("a", "b")
+    assert sums.has_property_alpha(L2N).sample_records == (
+        sums.AlphaRecord(c=1.0, d=0.0, eps=0.06007841175150852, radius=0.5,
+                         route="b", sup_bound=0.5),
+        sums.AlphaRecord(c=0.0, d=1.0, eps=0.06007841175150852, radius=0.5,
+                         route="a", sup_bound=0.5),
+        sums.AlphaRecord(c=0.7071067811865475, d=0.7071067811865475,
+                         eps=0.0019394548807616374, radius=0.14644660940672627,
+                         route="a", sup_bound=0.8535533905932737))
 
 
 def test_alpha_record_unavailable_when_undecided():
@@ -171,6 +203,13 @@ def test_construct_on_l1_sum():
     for res in results:
         assert res.min_distance >= 2 - F(1, 5) - 1e-9
         assert res.avg_error <= F(1, 10) + 1e-9
+    half, zero = _flips(range(80), F(1, 2)), ((), 0)
+    assert [res.count for res in results] == [80, 80, 159]
+    assert [res.avg_error for res in results] == [0.025, 0.025, 1 / 53]
+    assert _seqs(results[0].members) == list(zip(half, half))
+    assert _seqs(results[1].members) == [(s, zero) for s in _flips(range(80), 1)]
+    assert _seqs(results[2].members) == [
+        (s, zero) for s in _flips(range(1, 80), 1) + [((-1,) * k, -1) for k in range(1, 81)]]
 
 
 def test_construct_rejects_bad_witness():
@@ -215,6 +254,8 @@ def test_lift_example_dichotomy():
 def test_lift_axis_edge():
     lift = sums.sum_delta_lift(ONE, ONE, L2N, 1, 0, eps=0.5, gamma=0.2)
     assert lift.min_distance >= 2 - 0.5 - 1e-9
+    assert (lift.count, lift.avg_error) == (19, 2 / 19)
+    assert _seqs(lift.members) == [(s, ((), 0)) for s in _flips(range(1, 20), 1)]
 
 
 def test_lift_rejects_gamma_at_eps():
