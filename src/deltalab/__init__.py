@@ -17,7 +17,6 @@ from .core import (
     DeltaLabError,
     Rank1Operator,
     Slice,
-    SpaceTag,
     Verdict,
     VerificationError,
     check_delta_via_slices,
@@ -40,7 +39,7 @@ def __getattr__(name):
 
 __all__ = [
     "Certificate", "CertificationError", "DeltaLabError", "Rank1Operator",
-    "Slice", "SpaceTag", "Verdict", "VerificationError",
+    "Slice", "Verdict", "VerificationError",
     "check_delta_via_slices", "crosscheck_characterizations", "hull_distance",
     "hull_distance_info", "id_minus_rank1_norm", "slice_diameter",
     "ck", "cli", "core", "crosscheck", "l1", "lp", "muntz", "serialize",

@@ -25,7 +25,6 @@ from .core import (
     Rank1Operator,
     Refutation,
     SlicePolytope,
-    SpaceTag,
     VerificationError,
     Verdict,
     WitnessRecord,
@@ -52,7 +51,7 @@ class TailSequence:
     limit: Optional[Fraction] = None
     variant: Variant = Variant.C
 
-    space_tag = SpaceTag.C_SEQ
+    space = "ck"
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(as_fraction(v) for v in self.prefix))
@@ -122,10 +121,7 @@ class TailSequence:
     def __mul__(self, scalar):
         s = as_fraction(scalar)
         lim = None if self.variant is Variant.LINF_N else s * self.limit
-        variant = self.variant
-        if variant is Variant.C0 and lim != 0:  # unreachable; C0 limits are 0
-            variant = Variant.C
-        return TailSequence(tuple(s * v for v in self.prefix), lim, variant)
+        return TailSequence(tuple(s * v for v in self.prefix), lim, self.variant)
 
     __rmul__ = __mul__
 
@@ -147,10 +143,7 @@ class TailSequence:
         for p in points[1:]:
             if (p.variant is Variant.LINF_N) != linf:
                 raise DeltaLabError("cannot mix LINF_N with limit variants")
-        if linf:
-            n = len(points[0].prefix)
-            return "winf", None, [p.embed(n) for p in points]
-        n = max(len(p.prefix) for p in points)
+        n = len(points[0].prefix) if linf else max(len(p.prefix) for p in points)
         return "winf", None, [p.embed(n) for p in points]
 
     def _id_minus_rank1_norm(self, functional: "SequenceFunctional") -> Fraction:
@@ -191,8 +184,6 @@ class SequenceFunctional(Functional):
     weights: tuple
     limit_coeff: Fraction = Fraction(0)
     variant: Variant = Variant.C
-
-    space_tag = SpaceTag.C_SEQ
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(as_fraction(v) for v in self.weights))
@@ -411,12 +402,14 @@ def c0_delta_empty_check(samples: Sequence[TailSequence]) -> C0Report:
 
 
 def delta_family(f: TailSequence, target: TailSequence, eps, gamma):
-    """Equal-weight far family approximating `target` within gamma."""
+    """Equal-weight far family approximating `target` within gamma;
+    returns (members, weights, f, target)."""
     gamma = as_fraction(gamma)
+    if gamma <= 0:
+        raise DeltaLabError("far families need gamma > 0")
     m = max(1, math.ceil(2 / gamma))
     wit = daugavet_witness_ck(f, target, eps, m)
-    weights = [Fraction(1, m)] * m
-    return list(wit.members), weights
+    return list(wit.members), [Fraction(1, m)] * m, f, target
 
 
 def random_unit(rng, prefix_len: int, grid=(-1, Fraction(-1, 2), 0, Fraction(1, 2), 1),

@@ -68,14 +68,9 @@ def _num(x):
 def _cmd_certify(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
-    if space == "l1":
-        verdict, cert = l1_mod.is_daugavet_point_l1(point)
-    elif space == "ck":
-        verdict, cert = ck_mod.is_daugavet_point_ck(point)
-    elif space == "muntz":
-        verdict, cert = muntz_mod.is_daugavet_point_muntz(point)
-    else:
+    if space not in sums_mod.SPACES:
         raise UsageError(f"certify does not know space {space!r}")
+    verdict, cert = sums_mod.SPACES[space][0](point)
     cert.recheck()
     out = {"space": space, "is_daugavet_point": verdict,
            "certificate": serialize.certificate_to_json(cert)}

@@ -31,13 +31,6 @@ from . import lp
 from .util import UNIT_TOL, as_fraction
 
 
-class SpaceTag(Enum):
-    L1 = "L1"
-    C_SEQ = "C_SEQ"
-    MUNTZ = "MUNTZ"
-    SUM = "SUM"
-
-
 class DeltaLabError(Exception):
     pass
 
@@ -74,8 +67,6 @@ def require_unit(point, tol=UNIT_TOL):
 
 class Functional:
     """Base class for dual elements; subclasses live with their space model."""
-
-    space_tag: SpaceTag
 
     def __call__(self, point):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -269,9 +260,9 @@ def hull_distance_info(target, points, tol=1e-9, exact=None, max_rounds=200):
     """
     if not points:
         raise DeltaLabError("hull_distance needs a nonempty point list")
-    tags = {p.space_tag for p in points} | {target.space_tag}
-    if len(tags) != 1:
-        raise MixedSpaceError(f"mixed space tags {sorted(t.value for t in tags)}")
+    spaces = {p.space for p in points} | {target.space}
+    if len(spaces) != 1:
+        raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
 
     embed = getattr(type(target), "hull_embedding", None)
     if embed is not None:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from . import ck as ck_mod
 from . import l1 as l1_mod
-from .core import DeltaLabError, SpaceTag, hull_distance, require_unit
+from .core import DeltaLabError, hull_distance, require_unit
 from .util import as_fraction
 
 
@@ -115,17 +115,19 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
     rounding) and 1e-2 for sequence models (the witness-family resolution).
     """
     require_unit(x)
+    if tol is not None and not float(tol) > 0:
+        raise DeltaLabError("crosscheck needs tol > 0")
     rng = random.Random(seed)
     eps_grid = [as_fraction(e) for e in eps_grid]
 
-    if x.space_tag is SpaceTag.L1:
+    if x.space == "l1":
         tol = 1e-6 if tol is None else float(tol)
         theorem, _ = l1_mod.is_daugavet_point_l1(x)
         if probes is None:
             probes = x.model.ball_vertices()
             probes += [p for p in (l1_mod.random_unit(x.model, rng) for _ in range(2)) if p]
         builder = lambda e: _l1_candidates(x, e, probes, rng)
-    elif x.space_tag is SpaceTag.C_SEQ:
+    elif x.space == "ck":
         tol = 1e-2 if tol is None else float(tol)
         theorem, _ = ck_mod.is_daugavet_point_ck(x)
         if fresh is None:
@@ -139,7 +141,7 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
             probes = cube + [ck_mod.random_unit(rng, width) for _ in range(2)]
         builder = lambda e: _ck_candidates(x, e, probes, rng, fresh)
     else:
-        raise DeltaLabError("crosscheck needs a polyhedral model (L1 or C_SEQ)")
+        raise DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)")
 
     rows = []
     for eps in eps_grid:

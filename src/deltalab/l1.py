@@ -25,7 +25,6 @@ from .core import (
     Refutation,
     Slice,
     SlicePolytope,
-    SpaceTag,
     VerificationError,
     Verdict,
     WitnessRecord,
@@ -142,6 +141,15 @@ def split_cell(model: MeasureModel, cell_id: str, fraction) -> SplitResult:
     return SplitResult(new_model, lift, lift_functional)
 
 
+def _chain(fns):
+    """The composition applying `fns` in order."""
+    def apply(v):
+        for fn in fns:
+            v = fn(v)
+        return v
+    return apply
+
+
 def split_even(model: MeasureModel, cell_id: str, pieces: int) -> SplitResult:
     """Split a nonatomic cell into `pieces` equal-mass parts (chained splits)."""
     if pieces < 1:
@@ -155,18 +163,7 @@ def split_even(model: MeasureModel, cell_id: str, pieces: int) -> SplitResult:
         flifts.append(res.lift_functional)
         current = res.model
         cid = f"{cid}.1"
-
-    def lift(f):
-        for fn in lifts:
-            f = fn(f)
-        return f
-
-    def lift_functional(phi):
-        for fn in flifts:
-            phi = fn(phi)
-        return phi
-
-    return SplitResult(current, lift, lift_functional)
+    return SplitResult(current, _chain(lifts), _chain(flifts))
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ class StepFunction:
     model: MeasureModel
     values: tuple
 
-    space_tag = SpaceTag.L1
+    space = "l1"
 
     def __post_init__(self):
         vals = tuple(as_fraction(v) for v in self.values)
@@ -240,8 +237,6 @@ class StepFunctional(Functional):
 
     model: MeasureModel
     coeffs: tuple
-
-    space_tag = SpaceTag.L1
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(as_fraction(v) for v in self.coeffs))
@@ -358,6 +353,8 @@ def daugavet_witness_l1(f: StepFunction, x0star: StepFunctional, eps, delta,
     """
     eps = as_fraction(eps)
     delta = as_fraction(delta)
+    if not (eps > 0 and delta > 0):
+        raise DeltaLabError("witness construction needs eps > 0 and delta > 0")
     ok, _ = is_daugavet_point_l1(f)
     if not ok:
         raise DeltaLabError("witness construction needs a Daugavet point")
@@ -471,13 +468,7 @@ def _refine_for_eps(f: StepFunction, eps: Fraction):
         res = split_even(model, cell.id, pieces)
         model, fl = res.model, res.lift(fl)
         lifts.append(res.lift)
-
-    def lift(h: StepFunction) -> StepFunction:
-        for fn in lifts:
-            h = fn(h)
-        return h
-
-    return model, fl, lift
+    return model, fl, _chain(lifts)
 
 
 def far_vertices(f: StepFunction, eps):
@@ -501,7 +492,8 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
 
     Needs f unit with atomless support.  Weights are the target's cell
     masses; a +-spike pair absorbs any norm deficit.  The combination error
-    is exactly zero (gamma accepted for interface symmetry).
+    is exactly zero (gamma accepted for interface symmetry).  Returns
+    (members, weights, f, target), f and target lifted to the refined model.
     """
     eps = as_fraction(eps)
     require_unit(f)
@@ -545,7 +537,7 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
     combo = convex_combination(members, weights)
     if (tgt - combo).norm() != 0:
         raise VerificationError("far family fails to reproduce the target")
-    return members, weights, model, fl, tgt
+    return members, weights, fl, tgt
 
 
 def sample_far_members(f: StepFunction, eps, count: int, rng):

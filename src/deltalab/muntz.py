@@ -30,7 +30,6 @@ from .core import (
     DeltaLabError,
     Functional,
     Refutation,
-    SpaceTag,
     VerificationError,
     Verdict,
     convex_combination,
@@ -347,7 +346,7 @@ class MuntzPolynomial:
     terms: tuple
     const: Fraction = Fraction(0)
 
-    space_tag = SpaceTag.MUNTZ
+    space = "muntz"
 
     def __post_init__(self):
         clean = {}
@@ -438,8 +437,6 @@ class PointEvaluationFunctional(Functional):
     """
 
     nodes: tuple  # ((u, coeff), ...)
-
-    space_tag = SpaceTag.MUNTZ
 
     def __post_init__(self):
         object.__setattr__(
@@ -604,8 +601,8 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
     returned.
     """
     eps, delta = float(eps), float(delta)
-    if not 3 * delta < eps:
-        raise DeltaLabError("need 3*delta < eps")
+    if not 0 < 3 * delta < eps:
+        raise DeltaLabError("need 0 < 3*delta < eps")
     _require_certified_unit(f)
     if g.sup_enclosure(norm_tol).hi > 1 + float(UNIT_TOL):
         raise DeltaLabError("g must lie in the unit ball")
@@ -686,12 +683,14 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
 
 
 def delta_family(f: MuntzPolynomial, target: MuntzPolynomial, eps, gamma):
-    """Equal-weight far family approximating `target` within gamma."""
+    """Equal-weight far family approximating `target` within gamma;
+    returns (members, weights, f, target)."""
     eps, gamma = float(eps), float(gamma)
+    if not gamma > 0:
+        raise DeltaLabError("far families need gamma > 0")
     delta = min(gamma / 3, eps / 3.0003)
     wit = daugavet_witness_muntz(f, target, eps, delta)
-    weights = [Fraction(1, wit.m)] * wit.m
-    return list(wit.members), weights
+    return list(wit.members), [Fraction(1, wit.m)] * wit.m, f, target
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import ck as ck_mod
 from . import l1 as l1_mod
@@ -26,7 +26,6 @@ from . import muntz as muntz_mod
 from . import lp
 from .core import (
     DeltaLabError,
-    SpaceTag,
     VerificationError,
     convex_combination,
     require_unit,
@@ -197,7 +196,7 @@ class SumPoint:
     y: object
     norm_rule: AbsoluteNorm
 
-    space_tag = SpaceTag.SUM
+    space = "sum"
 
     def norm(self):
         return self.norm_rule(self.x.norm(), self.y.norm())
@@ -447,37 +446,27 @@ def has_property_alpha(norm: AbsoluteNorm, tol=None, grid_n=4096) -> AlphaResult
 
 
 # ---------------------------------------------------------------------------
-# component far-family dispatch
+# component dispatch
 
 
-def _family_for(point) -> Callable:
-    if isinstance(point, l1_mod.StepFunction):
-        def fam(anchor, target, eps, gamma):
-            members, weights, _, anchor2, target2 = l1_mod.delta_family(
-                anchor, target, eps, gamma)
-            return members, weights, anchor2, target2
-        return fam
-    if isinstance(point, ck_mod.TailSequence):
-        def fam(anchor, target, eps, gamma):
-            members, weights = ck_mod.delta_family(anchor, target, eps, gamma)
-            return members, weights, anchor, target
-        return fam
-    if isinstance(point, muntz_mod.MuntzPolynomial):
-        def fam(anchor, target, eps, gamma):
-            members, weights = muntz_mod.delta_family(anchor, target, eps, gamma)
-            return members, weights, anchor, target
-        return fam
-    raise DeltaLabError(f"no far-family generator for {type(point).__name__}")
+# space name -> (Daugavet decision, far family).  The lambdas read the
+# model's module at call time, so a patched module attribute is what runs.
+SPACES = {
+    "l1": (lambda p: l1_mod.is_daugavet_point_l1(p),
+           lambda *args: l1_mod.delta_family(*args)),
+    "ck": (lambda p: ck_mod.is_daugavet_point_ck(p),
+           lambda *args: ck_mod.delta_family(*args)),
+    "muntz": (lambda p: muntz_mod.is_daugavet_point_muntz(p),
+              lambda *args: muntz_mod.delta_family(*args)),
+}
 
 
-def _is_daugavet(point) -> bool:
-    if isinstance(point, l1_mod.StepFunction):
-        return l1_mod.is_daugavet_point_l1(point)[0]
-    if isinstance(point, ck_mod.TailSequence):
-        return ck_mod.is_daugavet_point_ck(point)[0]
-    if isinstance(point, muntz_mod.MuntzPolynomial):
-        return muntz_mod.is_daugavet_point_muntz(point)[0]
-    raise DeltaLabError(f"no Daugavet decision for {type(point).__name__}")
+def _space_of(point):
+    """The (decide, far family) entry of a component point's space."""
+    entry = SPACES.get(getattr(point, "space", None))
+    if entry is None:
+        raise DeltaLabError(f"no Daugavet decision or far family for {type(point).__name__}")
+    return entry
 
 
 def _scaled_family(anchor, target_component, scale, eps_comp, gamma, fam):
@@ -543,12 +532,12 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
     """
     if not verify_octahedral_witness(norm, a, b):
         raise DeltaLabError("(a, b) is not an octahedral witness for this norm")
-    if not (_is_daugavet(x) and _is_daugavet(y)):
+    (decide_x, fam_x), (decide_y, fam_y) = _space_of(x), _space_of(y)
+    if not (decide_x(x)[0] and decide_y(y)[0]):
         raise DeltaLabError("both components must be Daugavet points")
     require_unit(x)
     require_unit(y)
     a, b = as_fraction(a), as_fraction(b)
-    fam_x, fam_y = _family_for(x), _family_for(y)
     nu = norm(1, 1)
     eps_comp = as_fraction(eps) / as_fraction(nu)
     gamma = as_fraction(delta) / 4
@@ -620,14 +609,12 @@ def sum_delta_lift(x, y, norm: AbsoluteNorm, a, b, eps, gamma) -> LiftResult:
     if a == 0:
         parts_x, anchor_x = [(0 * x, Fraction(1))], x
     else:
-        fam = _family_for(x)
-        members, weights, anchor_x, _ = fam(x, x, eps, gam)
+        members, weights, anchor_x, _ = _space_of(x)[1](x, x, eps, gam)
         parts_x = list(zip(members, weights))
     if b == 0:
         parts_y, anchor_y = [(0 * y, Fraction(1))], y
     else:
-        fam = _family_for(y)
-        members, weights, anchor_y, _ = fam(y, y, eps, gam)
+        members, weights, anchor_y, _ = _space_of(y)[1](y, y, eps, gam)
         parts_y = list(zip(members, weights))
 
     n, xs, ys = _equal_counts(parts_x, parts_y, gam)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,10 +14,24 @@ from deltalab import ck, cli, l1, muntz, serialize, sums
 from deltalab.core import VerificationError
 
 
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+L1_ONE = '{"cells":[{"id":"a","mass":"1","kind":"NONATOMIC"}],"values":["1"]}'
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(argv, flags=(), timeout=120):
+    """`python -m deltalab.cli argv` in a child process."""
+    src = str(Path(deltalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *flags, "-m", "deltalab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +129,7 @@ def test_witness_ck(capsys):
 
 def test_witness_l1(capsys):
     code, out = run_cli(
-        ["witness", "--space", "l1", "--point",
-         '{"cells":[{"id":"a","mass":"1","kind":"NONATOMIC"}],"values":["1"]}',
+        ["witness", "--space", "l1", "--point", L1_ONE,
          "--functional", '{"space":"l1","coeffs":["1"]}',
          "--eps", "1/2", "--delta", "1/10"],
         capsys)
@@ -183,6 +197,24 @@ def test_precondition_violation_exits_one(capsys):
     code, out = run_cli(["sums", "--norm", "lp:nan", "--check", "alpha"], capsys)
     assert code == 1
     assert "lp norms need p in [1, inf]" in json.loads(out)["error"]
+    # zero delta, zero tol: rejected before anything divides by them
+    code, out = run_cli(
+        ["witness", "--space", "muntz", "--point", '{"terms":[[1,"1"]]}',
+         "--target", '{"terms":[[2,"-1/2"]]}', "--eps", "0.5", "--delta", "0"], capsys)
+    assert code == 1
+    assert "need 0 < 3*delta < eps" in json.loads(out)["error"]
+    code, out = run_cli(
+        ["crosscheck", "--space", "ck", "--point", '{"prefix":[1],"limit":0}',
+         "--tol", "0"], capsys)
+    assert code == 1
+    assert "crosscheck needs tol > 0" in json.loads(out)["error"]
+    # zero eps: the l1 witness would split cells forever, so it runs in a
+    # child process that the timeout stops
+    proc = run_module(
+        ["witness", "--space", "l1", "--point", L1_ONE,
+         "--functional", '{"space":"l1","coeffs":["1"]}', "--eps", "0"], timeout=60)
+    assert proc.returncode == 1
+    assert "needs eps > 0 and delta > 0" in json.loads(proc.stdout)["error"]
 
 
 def test_verification_failure_exits_two(capsys, monkeypatch):
@@ -220,12 +252,30 @@ def test_crosscheck_report_ignores_thread_env(monkeypatch, capsys):
 
 def test_module_run_without_runtime_warning():
     # `python -m deltalab.cli` must not find deltalab.cli already imported
-    src = str(Path(deltalab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "deltalab.cli",
-         "sums", "--dirichlet", "2/5,3/5", "--eps", "1/20"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(["sums", "--dirichlet", "2/5,3/5", "--eps", "1/20"],
+                      flags=["-W", "error::RuntimeWarning"])
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# golden reports: the README examples, byte for byte
+
+
+def readme_examples():
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("deltalab ")]
+
+
+def test_readme_lists_the_golden_examples():
+    names = [f"readme-{i}-{argv[0]}.json" for i, argv in enumerate(readme_examples(), 1)]
+    assert len(names) == 8
+    assert sorted(names) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("index, argv", list(enumerate(readme_examples(), 1)))
+def test_readme_example_report_is_golden(index, argv, capsys):
+    # a change that moves these bytes updates the file and says why
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"readme-{index}-{argv[0]}.json").read_text(encoding="utf-8")

@@ -252,7 +252,7 @@ def test_delta_family_reconstructs_targets(fvals, gvals, eps):
     g = l1.StepFunction(m, tuple(gvals[:n]))
     if g.norm() > 1:
         g = (1 / g.norm()) * g
-    members, weights, _, fl, tgt = l1.delta_family(f, g, eps)
+    members, weights, fl, tgt = l1.delta_family(f, g, eps)
     assert sum(weights) == 1
     combo = None
     for mem, w in zip(members, weights):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltalab import ck, core, l1, sums
+from deltalab import ck, core, l1, muntz, sums
 
 L1N = sums.AbsoluteNorm.l1()
 L2N = sums.AbsoluteNorm.l2()
@@ -18,6 +18,7 @@ SUITE = [L1N, L2N, sums.AbsoluteNorm.lp(1.5), sums.AbsoluteNorm.lp(3), LINF,
 
 ONE = ck.TailSequence((), 1)
 ZERO = ck.TailSequence((), 0)
+T = muntz.MuntzPolynomial.monomial(muntz.ExponentLadder.squares(), 1)
 
 
 def _seqs(members):
@@ -123,6 +124,18 @@ def test_dirichlet_scans_need_positive_eps():
     with pytest.raises(core.DeltaLabError, match="eps must be positive"):
         sums.sum_daugavet_construct(x, x, L1N, F(1, 2), F(1, 2),
                                     [sums.SumPoint(x, 0 * x, L1N)], eps=F(1, 4), delta=0)
+
+
+def test_far_families_need_positive_gamma():
+    # c components divide by gamma = delta/4 inside the family
+    with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
+        sums.sum_daugavet_construct(ONE, ONE, L1N, F(1, 2), F(1, 2),
+                                    [sums.SumPoint(ONE, ZERO, L1N)], eps=F(1, 5), delta=0)
+    for gamma in (0, -1):
+        with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
+            ck.delta_family(ONE, ZERO, F(1, 5), gamma)
+        with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
+            muntz.delta_family(T, T, 0.5, gamma)
 
 
 # ---------------------------------------------------------------------------
