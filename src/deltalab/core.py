@@ -22,10 +22,14 @@ witness must lie inside the slice itself (matching the Daugavet criterion);
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from . import lp
 from .util import UNIT_TOL, as_fraction
@@ -249,6 +253,96 @@ def _standard_form_winf(target, vectors):
     return cost, rows, rhs, k
 
 
+def _hull_lp(target, points):
+    """The hull-distance LP as a standard form (cost, rows, rhs, k), k the
+    number of hull weights; None for payloads without a polyhedral embedding."""
+    if not points:
+        raise DeltaLabError("hull_distance needs a nonempty point list")
+    spaces = {p.space for p in points} | {target.space}
+    if len(spaces) != 1:
+        raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
+    embed = getattr(type(target), "hull_embedding", None)
+    if embed is None:
+        return None
+    kind, weights, vectors = embed([target, *points])
+    tvec, pvecs = vectors[0], vectors[1:]
+    if kind == "w1":
+        return _standard_form_w1(weights, tvec, pvecs)
+    if kind == "winf":
+        return _standard_form_winf(tvec, pvecs)
+    raise DeltaLabError(f"unknown embedding kind {kind!r}")  # pragma: no cover
+
+
+# Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
+# stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
+# crosscheck LP has at most 150 nonzeros and an eps row at most 1,650; a ck
+# LP with a witness family (`cli_requests`) has about 52k.  Stacking every
+# LP of a row instead raised the peak RSS of `cli_requests` from 108 to
+# 197 MB (2-core VM, zeros dropped).  So 20k stacks a whole L1 eps row and
+# leaves each large ck LP a solve of its own.
+_STACK_NNZ = 20_000
+
+
+class _Block(NamedTuple):
+    """A standard form in floats, its matrix as the (row, col, val)
+    triplets of its nonzeros."""
+    cost: Any
+    shape: tuple
+    row: Any
+    col: Any
+    val: Any
+    rhs: Any
+
+
+def _float_block(cost, rows, rhs):
+    a = np.asarray(rows, dtype=float)
+    r, c = np.nonzero(a)
+    return _Block(np.asarray(cost, dtype=float), a.shape, r, c, a[r, c],
+                  np.asarray(rhs, dtype=float))
+
+
+def _solve_blocks(blocks):
+    """One HiGHS solve of the block-diagonal stack of `_Block`s.
+
+    The stacked matrix is sparse, built from each block's nonzeros shifted
+    by the rows and columns of the blocks before it.  Returns (c_b . z_b,
+    z_b) per block, in order.  The blocks share no variable, so the joint
+    optimum is optimal on each block."""
+    row_off = np.cumsum([0] + [b.shape[0] for b in blocks])
+    col_off = np.cumsum([0] + [b.shape[1] for b in blocks])
+    a = sparse.csc_array(
+        (np.concatenate([b.val for b in blocks]),
+         (np.concatenate([b.row + i for b, i in zip(blocks, row_off)]),
+          np.concatenate([b.col + j for b, j in zip(blocks, col_off)]))),
+        shape=(row_off[-1], col_off[-1]))
+    _, z = lp.simplex_float(np.concatenate([b.cost for b in blocks]), a,
+                            np.concatenate([b.rhs for b in blocks]))
+    return [(math.fsum(b.cost * z[j:j + len(b.cost)]), z[j:j + len(b.cost)])
+            for b, j in zip(blocks, col_off)]
+
+
+def hull_distances(tasks):
+    """Float hull distances on the polyhedral models, one per (target,
+    points) task, in order.
+
+    Consecutive tasks share one HiGHS solve of their block-diagonal stack
+    while it stays within _STACK_NNZ nonzeros; a larger LP runs alone."""
+    out, stack, nnz = [], [], 0
+    for target, points in tasks:
+        form = _hull_lp(target, points)
+        if form is None:
+            raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
+        block = _float_block(*form[:3])
+        if stack and nnz + len(block.val) > _STACK_NNZ:
+            out += [value for value, _ in _solve_blocks(stack)]
+            stack, nnz = [], 0
+        stack.append(block)
+        nnz += len(block.val)
+    if stack:
+        out += [value for value, _ in _solve_blocks(stack)]
+    return out
+
+
 def hull_distance_info(target, points, tol=1e-9, exact=None, max_rounds=200):
     """Distance from `target` to the convex hull of `points`, with weights.
 
@@ -258,33 +352,19 @@ def hull_distance_info(target, points, tol=1e-9, exact=None, max_rounds=200):
     a certified sup-norm of the achieved residual gives an upper bound, and
     nodes are added until the gap is at most `tol`.
     """
-    if not points:
-        raise DeltaLabError("hull_distance needs a nonempty point list")
-    spaces = {p.space for p in points} | {target.space}
-    if len(spaces) != 1:
-        raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
-
-    embed = getattr(type(target), "hull_embedding", None)
-    if embed is not None:
-        kind, weights, vectors = embed([target, *points])
-        tvec, pvecs = vectors[0], vectors[1:]
-        if kind == "w1":
-            cost, rows, rhs, k = _standard_form_w1(weights, tvec, pvecs)
-        elif kind == "winf":
-            cost, rows, rhs, k = _standard_form_winf(tvec, pvecs)
-        else:  # pragma: no cover - embeddings only emit the two kinds
-            raise DeltaLabError(f"unknown embedding kind {kind!r}")
-        if exact is None:
-            exact = len(rows) * len(cost) <= 30_000
-        if exact:
-            value, z = lp.simplex_exact(cost, rows, rhs)
-            lam = tuple(z[:k])
-        else:
-            value, z = lp.simplex_float(cost, rows, rhs)
-            lam = tuple(float(v) for v in z[:k])
-        return HullResult(value=value, lower=value, upper=value, weights=lam, iterations=1)
-
-    return _hull_distance_exchange(target, points, tol, max_rounds)
+    form = _hull_lp(target, points)
+    if form is None:
+        return _hull_distance_exchange(target, points, tol, max_rounds)
+    cost, rows, rhs, k = form
+    if exact is None:
+        exact = len(rows) * len(cost) <= 30_000
+    if exact:
+        value, z = lp.simplex_exact(cost, rows, rhs)
+        lam = tuple(z[:k])
+    else:
+        [(value, z)] = _solve_blocks([_float_block(cost, rows, rhs)])
+        lam = tuple(float(v) for v in z[:k])
+    return HullResult(value=value, lower=value, upper=value, weights=lam, iterations=1)
 
 
 def _hull_distance_exchange(target, points, tol, max_rounds):

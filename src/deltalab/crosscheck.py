@@ -18,6 +18,11 @@ finite truncation, so the candidates are augmented with witness-generator
 members targeted at x and at each probe, plus random interior far points;
 the achievable hull resolution is then 2/m for m fresh coordinates, which
 is why `tol` is coarser there.  Disagreements are reported, never raised.
+
+Each eps row is one call of `core.hull_distances`: the anchor's LP and every
+probe's that has candidates, stacked into one HiGHS solve while the stack
+stays small; a large LP (a ck witness family) gets a solve of its own.
+Distances are HiGHS floats, so the verdicts are not exact.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import ck as ck_mod
 from . import l1 as l1_mod
-from .core import DeltaLabError, hull_distance, require_unit
+from .core import DeltaLabError, hull_distances, require_unit
 from .util import as_fraction
 
 
@@ -62,7 +67,7 @@ class CrosscheckReport:
 
 def _l1_candidates(x, eps, probes, rng, extra_interior=4):
     """One shared candidate set: refined far vertices + interior mixtures."""
-    model, xl, members = l1_mod.far_vertices(x, eps)
+    _, xl, members, lift = l1_mod.far_vertices(x, eps)
     added = 0
     for _ in range(extra_interior * 8):
         if added >= extra_interior or len(members) < 2:
@@ -73,12 +78,7 @@ def _l1_candidates(x, eps, probes, rng, extra_interior=4):
         if (xl - cand).norm() >= 2 - eps:
             members.append(cand)
             added += 1
-    lift = None
-    if probes and probes[0].model != model:
-        _, _, lift_fn = l1_mod._refine_for_eps(x, eps)
-        lift = lift_fn
-    lifted = [lift(p) if lift else p for p in probes]
-    return (xl, members), [(p, members) for p in lifted]
+    return (xl, members), [(lift(p), members) for p in probes]
 
 
 def _ck_candidates(x, eps, probes, rng, fresh: int, n_far_vertices=48):
@@ -149,10 +149,11 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
         if not anchor_members:
             rows.append(CrosscheckRow(eps, 0, float("inf"), (), False, False))
             continue
-        d_delta = float(hull_distance(anchor, anchor_members, exact=False))
-        d_probes = tuple(
-            float(hull_distance(p, members, exact=False)) if members else float("inf")
-            for p, members in probe_tasks)
+        # the whole row in one batch: the anchor, then every probe with members
+        dists = iter(hull_distances(
+            [(anchor, anchor_members)] + [(p, m) for p, m in probe_tasks if m]))
+        d_delta = next(dists)
+        d_probes = tuple(next(dists) if m else float("inf") for _, m in probe_tasks)
         delta_ok = d_delta <= tol
         n_cand = max([len(anchor_members)] + [len(m) for _, m in probe_tasks])
         rows.append(CrosscheckRow(

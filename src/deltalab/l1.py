@@ -474,17 +474,18 @@ def _refine_for_eps(f: StepFunction, eps: Fraction):
 def far_vertices(f: StepFunction, eps):
     """Refined-model ball vertices lying in the far set of f.
 
-    Returns (refined model, lifted f, members). If supp(f) has no atoms the
-    convex hull of the members contains the whole refined ball, so these
-    vertices decide hull questions for both Delta and Daugavet tests.
+    Returns (refined model, lifted f, members, lift), where lift carries
+    other functions on f's model to the refined one.  If supp(f) has no
+    atoms the convex hull of the members contains the whole refined ball, so
+    these vertices decide hull questions for both Delta and Daugavet tests.
     """
     eps = as_fraction(eps)
-    model, fl, _ = _refine_for_eps(f, eps)
+    model, fl, lift = _refine_for_eps(f, eps)
     members = []
     for v in model.ball_vertices():
         if (fl - v).norm() >= 2 - eps:
             members.append(v)
-    return model, fl, members
+    return model, fl, members, lift
 
 
 def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
@@ -496,6 +497,8 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
     (members, weights, f, target), f and target lifted to the refined model.
     """
     eps = as_fraction(eps)
+    if eps <= 0:
+        raise DeltaLabError("far families need eps > 0")
     require_unit(f)
     ok, _ = is_daugavet_point_l1(f)
     if not ok:
@@ -549,7 +552,7 @@ def sample_far_members(f: StepFunction, eps, count: int, rng):
     eps = as_fraction(eps)
     out = []
 
-    model, fl, verts = far_vertices(f, eps)
+    model, fl, verts, _ = far_vertices(f, eps)
     out.extend(verts)
 
     neg = -fl

@@ -5,7 +5,9 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
 * ``simplex_exact`` -- a two-phase tableau simplex over ``Fraction`` entries
   with Bland's smallest-index pivot rule (deterministic, anticycling).  Used
   on the polyhedral models where results should be bit-exact.
-* ``simplex_float`` -- scipy's HiGHS solver on the identical matrices.
+* ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
+  given as a dense array or a scipy sparse matrix (``core.hull_distances``
+  passes a sparse block-diagonal stack of many small hull LPs).
 
 Both are infrastructure; the geometric reductions that feed them live with
 the space models.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .util import as_fraction
@@ -132,10 +135,11 @@ def simplex_exact(c, A, b):
 
 
 def simplex_float(c, A, b):
-    """Same standard form through scipy/HiGHS. Returns (value, z) as floats."""
+    """Same standard form through scipy/HiGHS; `A` dense or scipy-sparse.
+    Returns (value, z) as floats."""
     res = linprog(
         np.asarray(c, dtype=float),
-        A_eq=np.asarray(A, dtype=float),
+        A_eq=A if sparse.issparse(A) else np.asarray(A, dtype=float),
         b_eq=np.asarray(b, dtype=float),
         bounds=(0, None),
         method="highs",

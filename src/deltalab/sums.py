@@ -530,6 +530,10 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
     along the chord through the origin).  Every member and the average are
     re-verified; failures raise with diagnostics.
     """
+    if as_fraction(eps) <= 0:
+        raise DeltaLabError("sum_daugavet_construct needs eps > 0")
+    if as_fraction(delta) <= 0:
+        raise DeltaLabError("sum_daugavet_construct needs delta > 0")
     if not verify_octahedral_witness(norm, a, b):
         raise DeltaLabError("(a, b) is not an octahedral witness for this norm")
     (decide_x, fam_x), (decide_y, fam_y) = _space_of(x), _space_of(y)

@@ -279,3 +279,25 @@ def test_readme_example_report_is_golden(index, argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert out == (GOLDEN / f"readme-{index}-{argv[0]}.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# golden reports: crosschecks whose small hull LPs share HiGHS solves
+
+
+L1_THREE_CELLS = json.dumps({
+    "cells": [{"id": "a", "mass": "1/2", "kind": "NONATOMIC"},
+              {"id": "b", "mass": "1/4", "kind": "ATOM"},
+              {"id": "c", "mass": "1/4", "kind": "NONATOMIC"}],
+    "values": ["1", "1", "-1"]}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("l1-three-cells", ["crosscheck", "--space", "l1", "--seed", "7", "--point", L1_THREE_CELLS]),
+    ("ck-small", ["crosscheck", "--space", "ck", "--point", '{"prefix":["1","1"],"limit":"0"}']),
+])
+def test_batched_crosscheck_report_is_golden(name, argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (REPO / "tests" / "golden_crosscheck" / f"{name}.json").read_text(
+        encoding="utf-8")

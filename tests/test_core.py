@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltalab import ck, core, l1
+from deltalab import ck, core, crosscheck, l1, muntz
 
 
 def atoms(*masses):
@@ -18,6 +18,7 @@ def sf(model, *values):
 M1 = atoms(1)
 M2 = atoms(1, 1)
 M3 = atoms(1, 1, 1)
+T = muntz.MuntzPolynomial.monomial(muntz.ExponentLadder.squares(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,66 @@ def test_hull_ck_points():
     pts = [ck.TailSequence((1,), 1), ck.TailSequence((1,), -1)]
     # midpoint has limit 0: distance 0
     assert core.hull_distance(x, pts) == 0
+
+
+def hull_tasks(seed):
+    """Seeded L1 and ck hull tasks: (target, points) on a shared model each."""
+    rng = random.Random(seed)
+    tasks = []
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        model = l1.MeasureModel(tuple((f"c{i}", F(rng.randint(1, 4), 4), rng.choice(
+            ("ATOM", "NONATOMIC"))) for i in range(n)))
+        vals = lambda: [F(rng.randint(-4, 4), 4) for _ in range(n)]
+        tasks.append((sf(model, *vals()), [sf(model, *vals()) for _ in range(rng.randint(1, 5))]))
+    for _ in range(6):
+        seq = lambda: ck.TailSequence(tuple(F(rng.randint(-4, 4), 4) for _ in range(
+            rng.randint(0, 3))), F(rng.randint(-4, 4), 4))
+        tasks.append((seq(), [seq() for _ in range(rng.randint(1, 5))]))
+    return tasks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_distances_match_exact_solves(seed):
+    tasks = hull_tasks(seed)
+    dists = core.hull_distances(tasks)
+    assert len(dists) == len(tasks)
+    for (target, points), d in zip(tasks, dists):
+        assert abs(d - core.hull_distance(target, points, exact=True)) <= 1e-9
+
+
+@pytest.fixture
+def float_solves(monkeypatch):
+    """One entry per `lp.simplex_float` call."""
+    calls = []
+    solve = core.lp.simplex_float
+    monkeypatch.setattr(core.lp, "simplex_float", lambda *a: calls.append(1) or solve(*a))
+    return calls
+
+
+def test_hull_distances_keep_order_across_stacks(monkeypatch, float_solves):
+    tasks = hull_tasks(3)
+    one_stack = core.hull_distances(tasks)
+    monkeypatch.setattr(core, "_STACK_NNZ", 40)
+    float_solves.clear()
+    many_stacks = core.hull_distances(tasks)
+    assert 1 < len(float_solves) < len(tasks)
+    assert many_stacks == pytest.approx(one_stack, abs=1e-12)
+    assert core.hull_distances([]) == []
+
+
+def test_hull_distances_need_polyhedral_points():
+    with pytest.raises(core.NotPolyhedralError):
+        core.hull_distances([(T, [T])])
+
+
+def test_l1_crosscheck_solves_once_per_eps_row(float_solves):
+    model = l1.MeasureModel((("a", F(1, 2), "NONATOMIC"), ("b", F(1, 4), "ATOM"),
+                             ("c", F(1, 4), "NONATOMIC")))
+    grid = [F(1, 10), F(1, 2), F(1)]
+    rep = crosscheck.crosscheck_characterizations(sf(model, 1, 1, -1), grid, seed=7)
+    assert all(r.n_candidates for r in rep.rows)
+    assert len(float_solves) == len(grid)
 
 
 # ---------------------------------------------------------------------------

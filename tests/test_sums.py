@@ -119,18 +119,26 @@ def test_dirichlet_scans_need_positive_eps():
     w = [F(1, 3), F(2, 3)]
     with pytest.raises(core.DeltaLabError, match="eps must be positive"):
         sums.dirichlet_average_pair(w, w, 0, n_max=10)
-    # an L1 component reaches the scan without dividing by delta first
+    # the construction checks delta itself before any component family
     x = l1.StepFunction(l1.MeasureModel((("c0", 1, "NONATOMIC"),)), (1,))
-    with pytest.raises(core.DeltaLabError, match="eps must be positive"):
+    with pytest.raises(core.DeltaLabError, match="needs delta > 0"):
         sums.sum_daugavet_construct(x, x, L1N, F(1, 2), F(1, 2),
                                     [sums.SumPoint(x, 0 * x, L1N)], eps=F(1, 4), delta=0)
 
 
 def test_far_families_need_positive_gamma():
-    # c components divide by gamma = delta/4 inside the family
-    with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
-        sums.sum_daugavet_construct(ONE, ONE, L1N, F(1, 2), F(1, 2),
-                                    [sums.SumPoint(ONE, ZERO, L1N)], eps=F(1, 5), delta=0)
+    # the construction checks eps and delta before a family divides by
+    # gamma = delta/4 (c components) or by eps (l1 components)
+    x = l1.StepFunction(l1.MeasureModel((("c0", 1, "NONATOMIC"),)), (1,))
+    for u, v in ((ONE, ZERO), (x, 0 * x)):
+        for eps, delta, name in ((F(1, 5), 0, "delta"), (F(1, 5), F(-1, 20), "delta"),
+                                 (0, F(1, 20), "eps"), (-1, F(1, 20), "eps")):
+            with pytest.raises(core.DeltaLabError, match=f"needs {name} > 0"):
+                sums.sum_daugavet_construct(u, u, L1N, F(1, 2), F(1, 2),
+                                            [sums.SumPoint(u, v, L1N)], eps=eps, delta=delta)
+    for eps in (0, -1):
+        with pytest.raises(core.DeltaLabError, match="far families need eps > 0"):
+            l1.delta_family(x, x, eps)
     for gamma in (0, -1):
         with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
             ck.delta_family(ONE, ZERO, F(1, 5), gamma)
