@@ -251,6 +251,8 @@ def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitn
     to -lim(f).  Each is 2-far from f at that index (f equals its limit
     there), and the average moves g by at most 2/m."""
     eps = as_fraction(eps)
+    if not eps > 0:
+        raise DeltaLabError("witness construction needs eps > 0")
     require_unit(f)
     if f.variant is Variant.LINF_N or abs(f.limit) != 1:
         raise DeltaLabError("witness construction needs |lim f| = 1")
@@ -353,6 +355,8 @@ def convex_dld2p_decompose_ck(f: TailSequence, eps) -> CkDecomposition:
 
     Accepts any ball point (the parts are unit regardless)."""
     eps = as_fraction(eps)
+    if not eps > 0:
+        raise DeltaLabError("decomposition needs eps > 0")
     if f.norm() > 1 + UNIT_TOL:
         raise DeltaLabError("decomposition needs a point of the unit ball")
     if f.variant is Variant.LINF_N:

@@ -201,61 +201,68 @@ class HullResult:
     iterations: int = 0
 
 
-def _standard_form_w1(weights, target, vectors):
-    """min sum_c m_c |x_c - (P lam)_c| over the simplex, as A z = b, z >= 0.
+def hull_norm_rows(k, embeddings):
+    """Standard-form rows of hull-distance LPs sharing the k hull weights
+    lam (columns 0..k-1) and the last row, sum lam = 1.
 
-    Variables: lam (k), d+ (n), d- (n).
-    """
-    k, n = len(vectors), len(target)
-    rows, rhs = [], []
-    for c in range(n):
-        row = [vectors[i][c] for i in range(k)]
-        row += [1 if j == c else 0 for j in range(n)]
-        row += [-1 if j == c else 0 for j in range(n)]
-        rows.append(row)
-        rhs.append(target[c])
-    rows.append([1] * k + [0] * (2 * n))
+    Each `hull_embedding` (kind, weights, [target, *vectors]) adds rows
+    P lam + d+ - d- = target over new columns d+, d-.  "w1" costs
+    weights . (d+ + d-); "winf" adds columns s and t, rows d+ + d- + s - t = 0,
+    and costs t.  Returns the exact (row, col, val) triplets of the nonzeros,
+    the rhs, and one cost per embedding over all columns."""
+    row, col, val, rhs, spans = [], [], [], [], []
+    ncols = k
+    for kind, weights, (target, *vectors) in embeddings:
+        n, r0, c0 = len(target), len(rhs), ncols
+        for c in range(n):
+            for i, v in enumerate(vectors):
+                if v[c]:
+                    row.append(r0 + c)
+                    col.append(i)
+                    val.append(v[c])
+            row += [r0 + c] * 2
+            col += [c0 + c, c0 + n + c]
+            val += [1, -1]
+        rhs += target
+        if kind == "w1":
+            cost = [*weights, *weights]
+        elif kind == "winf":
+            for c in range(n):
+                row += [r0 + n + c] * 4
+                col += [c0 + c, c0 + n + c, c0 + 2 * n + c, c0 + 3 * n]
+                val += [1, 1, 1, -1]
+            rhs += [0] * n
+            cost = [0] * (3 * n) + [1]
+        else:
+            raise DeltaLabError(f"unknown embedding kind {kind!r}")  # pragma: no cover
+        spans.append((c0, cost))
+        ncols += len(cost)
+    row += [len(rhs)] * k
+    col += range(k)
+    val += [1] * k
     rhs.append(1)
-    cost = [0] * k + list(weights) + list(weights)
-    return cost, rows, rhs, k
+    return row, col, val, rhs, [[0] * c0 + cost + [0] * (ncols - c0 - len(cost))
+                                for c0, cost in spans]
 
 
-def _standard_form_winf(target, vectors):
-    """min max_c |x_c - (P lam)_c| over the simplex, as A z = b, z >= 0.
+class _Block(NamedTuple):
+    """A standard form min cost.z s.t. A z = rhs, z >= 0, its matrix A as
+    the (row, col, val) triplets of its nonzeros."""
+    cost: Any
+    row: Any
+    col: Any
+    val: Any
+    rhs: Any
 
-    Variables: lam (k), d+ (n), d- (n), s (n), t.
-    """
-    k, n = len(vectors), len(target)
-    nvar = k + 3 * n + 1
-    rows, rhs = [], []
-    for c in range(n):
-        row = [0] * nvar
-        for i in range(k):
-            row[i] = vectors[i][c]
-        row[k + c] = 1
-        row[k + n + c] = -1
-        rows.append(row)
-        rhs.append(target[c])
-    for c in range(n):
-        row = [0] * nvar
-        row[k + c] = 1
-        row[k + n + c] = 1
-        row[k + 2 * n + c] = 1
-        row[-1] = -1
-        rows.append(row)
-        rhs.append(0)
-    row = [0] * nvar
-    for i in range(k):
-        row[i] = 1
-    rows.append(row)
-    rhs.append(1)
-    cost = [0] * (nvar - 1) + [1]
-    return cost, rows, rhs, k
+    def to_float(self):
+        return _Block(np.asarray(self.cost, dtype=float), np.asarray(self.row),
+                      np.asarray(self.col), np.asarray(self.val, dtype=float),
+                      np.asarray(self.rhs, dtype=float))
 
 
 def _hull_lp(target, points):
-    """The hull-distance LP as a standard form (cost, rows, rhs, k), k the
-    number of hull weights; None for payloads without a polyhedral embedding."""
+    """The hull-distance LP as an exact `_Block` and k, its hull weights
+    being columns 0..k-1; None for payloads without a polyhedral embedding."""
     if not points:
         raise DeltaLabError("hull_distance needs a nonempty point list")
     spaces = {p.space for p in points} | {target.space}
@@ -264,13 +271,8 @@ def _hull_lp(target, points):
     embed = getattr(type(target), "hull_embedding", None)
     if embed is None:
         return None
-    kind, weights, vectors = embed([target, *points])
-    tvec, pvecs = vectors[0], vectors[1:]
-    if kind == "w1":
-        return _standard_form_w1(weights, tvec, pvecs)
-    if kind == "winf":
-        return _standard_form_winf(tvec, pvecs)
-    raise DeltaLabError(f"unknown embedding kind {kind!r}")  # pragma: no cover
+    row, col, val, rhs, [cost] = hull_norm_rows(len(points), [embed([target, *points])])
+    return _Block(cost, row, col, val, rhs), len(points)
 
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
@@ -283,33 +285,15 @@ def _hull_lp(target, points):
 _STACK_NNZ = 20_000
 
 
-class _Block(NamedTuple):
-    """A standard form in floats, its matrix as the (row, col, val)
-    triplets of its nonzeros."""
-    cost: Any
-    shape: tuple
-    row: Any
-    col: Any
-    val: Any
-    rhs: Any
-
-
-def _float_block(cost, rows, rhs):
-    a = np.asarray(rows, dtype=float)
-    r, c = np.nonzero(a)
-    return _Block(np.asarray(cost, dtype=float), a.shape, r, c, a[r, c],
-                  np.asarray(rhs, dtype=float))
-
-
 def _solve_blocks(blocks):
-    """One HiGHS solve of the block-diagonal stack of `_Block`s.
+    """One HiGHS solve of the block-diagonal stack of float `_Block`s.
 
     The stacked matrix is sparse, built from each block's nonzeros shifted
     by the rows and columns of the blocks before it.  Returns (c_b . z_b,
     z_b) per block, in order.  The blocks share no variable, so the joint
     optimum is optimal on each block."""
-    row_off = np.cumsum([0] + [b.shape[0] for b in blocks])
-    col_off = np.cumsum([0] + [b.shape[1] for b in blocks])
+    row_off = np.cumsum([0] + [len(b.rhs) for b in blocks])
+    col_off = np.cumsum([0] + [len(b.cost) for b in blocks])
     a = sparse.csc_array(
         (np.concatenate([b.val for b in blocks]),
          (np.concatenate([b.row + i for b, i in zip(blocks, row_off)]),
@@ -332,7 +316,7 @@ def hull_distances(tasks):
         form = _hull_lp(target, points)
         if form is None:
             raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
-        block = _float_block(*form[:3])
+        block = form[0].to_float()
         if stack and nnz + len(block.val) > _STACK_NNZ:
             out += [value for value, _ in _solve_blocks(stack)]
             stack, nnz = [], 0
@@ -355,14 +339,17 @@ def hull_distance_info(target, points, tol=1e-9, exact=None, max_rounds=200):
     form = _hull_lp(target, points)
     if form is None:
         return _hull_distance_exchange(target, points, tol, max_rounds)
-    cost, rows, rhs, k = form
+    block, k = form
     if exact is None:
-        exact = len(rows) * len(cost) <= 30_000
+        exact = len(block.rhs) * len(block.cost) <= 30_000
     if exact:
-        value, z = lp.simplex_exact(cost, rows, rhs)
+        rows = [[0] * len(block.cost) for _ in block.rhs]
+        for r, c, v in zip(block.row, block.col, block.val):
+            rows[r][c] = v
+        value, z = lp.simplex_exact(block.cost, rows, block.rhs)
         lam = tuple(z[:k])
     else:
-        [(value, z)] = _solve_blocks([_float_block(cost, rows, rhs)])
+        [(value, z)] = _solve_blocks([block.to_float()])
         lam = tuple(float(v) for v in z[:k])
     return HullResult(value=value, lower=value, upper=value, weights=lam, iterations=1)
 

@@ -119,6 +119,8 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
         raise DeltaLabError("crosscheck needs tol > 0")
     rng = random.Random(seed)
     eps_grid = [as_fraction(e) for e in eps_grid]
+    if any(e <= 0 for e in eps_grid):
+        raise DeltaLabError("crosscheck needs eps > 0")
 
     if x.space == "l1":
         tol = 1e-6 if tol is None else float(tol)

@@ -3,14 +3,14 @@
 Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
 
 * ``simplex_exact`` -- a two-phase tableau simplex over ``Fraction`` entries
-  with Bland's smallest-index pivot rule (deterministic, anticycling).  Used
-  on the polyhedral models where results should be bit-exact.
+  with Bland's smallest-index pivot rule (deterministic, anticycling).  Its
+  only caller is ``core.hull_distance_info``, when ``exact`` is set or the
+  hull LP is small.
 * ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
-  given as a dense array or a scipy sparse matrix (``core.hull_distances``
-  passes a sparse block-diagonal stack of many small hull LPs).
+  dense or scipy-sparse (``core.hull_distances`` passes block-diagonal
+  stacks of small hull LPs, ``sums.hull_lower_bound_scalarized`` one LP).
 
-Both are infrastructure; the geometric reductions that feed them live with
-the space models.
+The hull LPs that feed both come from ``core.hull_norm_rows``.
 """
 
 from __future__ import annotations
@@ -134,6 +134,17 @@ def simplex_exact(c, A, b):
     return value, z
 
 
+def _result(res):
+    """(value, z) of a HiGHS result, or the LPError for its status."""
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status == 3:
+        raise Unbounded(res.message)
+    if not res.success:
+        raise LPError(res.message)
+    return float(res.fun), res.x
+
+
 def simplex_float(c, A, b):
     """Same standard form through scipy/HiGHS; `A` dense or scipy-sparse.
     Returns (value, z) as floats."""
@@ -144,13 +155,7 @@ def simplex_float(c, A, b):
         bounds=(0, None),
         method="highs",
     )
-    if res.status == 2:
-        raise Infeasible(res.message)
-    if res.status == 3:
-        raise Unbounded(res.message)
-    if not res.success:
-        raise LPError(res.message)
-    return float(res.fun), res.x
+    return _result(res)
 
 
 def linprog_mixed(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
@@ -164,10 +169,4 @@ def linprog_mixed(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         bounds=bounds,
         method="highs",
     )
-    if res.status == 2:
-        raise Infeasible(res.message)
-    if res.status == 3:
-        raise Unbounded(res.message)
-    if not res.success:
-        raise LPError(res.message)
-    return float(res.fun), res.x
+    return _result(res)

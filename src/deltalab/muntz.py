@@ -940,6 +940,8 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
     the last sign change of f' and f'') and accepts the first n whose parts
     certify; the cap is a budget, termination is guaranteed by summability.
     """
+    if cap < 0:
+        raise DeltaLabError("decomposition needs cap >= 0")
     _require_constant_free(f.ladder)
     enc = f.sup_enclosure(norm_tol)
     if not enc.hi < 1:

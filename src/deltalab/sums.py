@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+from scipy import sparse
+
 from . import ck as ck_mod
 from . import l1 as l1_mod
 from . import muntz as muntz_mod
@@ -28,6 +31,7 @@ from .core import (
     DeltaLabError,
     VerificationError,
     convex_combination,
+    hull_norm_rows,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction
@@ -772,79 +776,26 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
         lp_lower_bound=lp_lower, w_membership_ok=w_ok)
 
 
-def _epigraph_rows(base_vec, member_vecs, weights, kind, col_offset, p_col,
-                   n_cols):
-    """Inequality rows enforcing p >= ||base - sum lam_i member_i|| for one
-    component; returns (A_ub, b_ub, A_eq, b_eq, n_aux)."""
-    ncoord = len(base_vec)
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    if kind == "winf":
-        for cidx in range(ncoord):
-            row = [0.0] * n_cols
-            for i, mv in enumerate(member_vecs):
-                row[i] = float(mv[cidx])
-            row[p_col] = -1.0
-            A_ub.append(row)
-            b_ub.append(float(base_vec[cidx]))
-            row2 = [-v for v in row]
-            row2[p_col] = -1.0
-            A_ub.append(row2)
-            b_ub.append(-float(base_vec[cidx]))
-        return A_ub, b_ub, A_eq, b_eq, 0
-    # weighted-l1: aux variables d+ and d- per coordinate
-    for cidx in range(ncoord):
-        row = [0.0] * n_cols
-        for i, mv in enumerate(member_vecs):
-            row[i] = float(mv[cidx])
-        row[col_offset + cidx] = 1.0
-        row[col_offset + ncoord + cidx] = -1.0
-        A_eq.append(row)
-        b_eq.append(float(base_vec[cidx]))
-    row = [0.0] * n_cols
-    for cidx in range(ncoord):
-        row[col_offset + cidx] = float(weights[cidx])
-        row[col_offset + ncoord + cidx] = float(weights[cidx])
-    row[p_col] = -1.0
-    A_ub.append(row)
-    b_ub.append(0.0)
-    return A_ub, b_ub, A_eq, b_eq, 2 * ncoord
-
-
 def hull_lower_bound_scalarized(point: SumPoint, members: Sequence[SumPoint],
                                 norm: AbsoluteNorm, n_dirs=33) -> float:
     """Certified lower bound on the distance from `point` to the convex hull
     of `members` in the sum norm, via LP duality: for each nonnegative
     direction theta, min over the hull of theta . (px, py) divided by the
-    dual norm of theta bounds the distance from below."""
-    k = len(members)
-    kind_x, wx, vec_x = type(point.x).hull_embedding([point.x] + [m.x for m in members])
-    kind_y, wy, vec_y = type(point.y).hull_embedding([point.y] + [m.y for m in members])
-    nx, ny = len(vec_x[0]), len(vec_y[0])
-    aux_x = 0 if kind_x == "winf" else 2 * nx
-    aux_y = 0 if kind_y == "winf" else 2 * ny
-    n_cols = k + aux_x + aux_y + 2
-    p_col, q_col = n_cols - 2, n_cols - 1
-
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    rows = _epigraph_rows(vec_x[0], vec_x[1:], wx, kind_x, k, p_col, n_cols)
-    A_ub += rows[0]; b_ub += rows[1]; A_eq += rows[2]; b_eq += rows[3]
-    rows = _epigraph_rows(vec_y[0], vec_y[1:], wy, kind_y, k + aux_x, q_col, n_cols)
-    A_ub += rows[0]; b_ub += rows[1]; A_eq += rows[2]; b_eq += rows[3]
-    simplex = [0.0] * n_cols
-    for i in range(k):
-        simplex[i] = 1.0
-    A_eq.append(simplex)
-    b_eq.append(1.0)
-    bounds = [(0, None)] * (n_cols - 2) + [(None, None), (None, None)]
+    dual norm of theta bounds the distance from below.  It is one standard
+    form from `core.hull_norm_rows`; theta only reweighs its two costs."""
+    row, col, entries, rhs, costs = hull_norm_rows(len(members), [
+        type(point.x).hull_embedding([point.x] + [m.x for m in members]),
+        type(point.y).hull_embedding([point.y] + [m.y for m in members])])
+    a = sparse.csc_array((np.asarray(entries, dtype=float), (row, col)),
+                         shape=(len(rhs), len(costs[0])))
+    b = np.asarray(rhs, dtype=float)
+    c_x, c_y = np.asarray(costs, dtype=float)
 
     best = 0.0
     for i in range(n_dirs):
         th = math.pi / 2 * i / (n_dirs - 1)
         t1, t2 = math.cos(th), math.sin(th)
-        cost = [0.0] * n_cols
-        cost[p_col], cost[q_col] = t1, t2
-        val, _ = lp.linprog_mixed(cost, A_ub=A_ub, b_ub=b_ub,
-                                  A_eq=A_eq or None, b_eq=b_eq or None, bounds=bounds)
+        val, _ = lp.simplex_float(t1 * c_x + t2 * c_y, a, b)
         dual = float(norm.dual(t1, t2))
         if dual > 0:
             best = max(best, val / dual)

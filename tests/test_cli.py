@@ -208,6 +208,23 @@ def test_precondition_violation_exits_one(capsys):
          "--tol", "0"], capsys)
     assert code == 1
     assert "crosscheck needs tol > 0" in json.loads(out)["error"]
+    # eps <= 0 and a negative cap: rejected inputs, not failed re-checks
+    for argv, message in [
+        (["crosscheck", "--space", "l1", "--point", L1_ONE, "--eps-grid", "0"],
+         "crosscheck needs eps > 0"),
+        (["crosscheck", "--space", "ck", "--point", '{"prefix":["1"],"limit":"1"}',
+          "--eps-grid=-1"], "crosscheck needs eps > 0"),
+        (["witness", "--space", "ck", "--point", '{"prefix":[],"limit":1}',
+          "--target", '{"prefix":[],"limit":0}', "--eps=-1"],
+         "witness construction needs eps > 0"),
+        (["decompose", "--space", "ck", "--point", '{"prefix":["1/2"],"limit":"1/2"}',
+          "--eps", "0"], "decomposition needs eps > 0"),
+        (["decompose", "--space", "muntz", "--point", '{"terms":[[1,"1/2"]]}',
+          "--cap=-1"], "decomposition needs cap >= 0"),
+    ]:
+        code, out = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert message in json.loads(out)["error"], argv
     # zero eps: the l1 witness would split cells forever, so it runs in a
     # child process that the timeout stops
     proc = run_module(

@@ -293,6 +293,28 @@ def test_refutation_scope_error():
         sums.refutation_harness(z, ref, eps=rec.eps * 4)
 
 
+def test_hull_lower_bound_on_weighted_l1_components():
+    # a single member's hull is that member, so the bound is the sum norm of
+    # the two component distances: ||p.x - q.x|| = 1 and ||p.y - q.y|| = 2
+    m = l1.MeasureModel((("a", F(1, 2), "NONATOMIC"), ("b", F(1, 2), "NONATOMIC")))
+
+    def sf(*values):
+        return l1.StepFunction(m, tuple(F(v) for v in values))
+
+    for norm in (L1N, LINF, L2N):
+        p = sums.SumPoint(sf(1, 1), sf(0, 2), norm)
+        q = sums.SumPoint(sf(-1, 1), sf(0, -2), norm)
+        bound = sums.hull_lower_bound_scalarized(p, [q], norm)
+        if norm is L2N:
+            assert bound <= math.sqrt(5)
+        else:
+            assert abs(bound - float(norm(1, 2))) <= 1e-12
+    # a mixed l1/c pair whose hull holds the target
+    members = [sums.SumPoint(sf(1, 1), ONE, L2N), sums.SumPoint(sf(-1, -1), -ONE, L2N)]
+    target = sums.SumPoint(sf(0, 0), ZERO, L2N)
+    assert sums.hull_lower_bound_scalarized(target, members, L2N) == 0
+
+
 def test_refutation_axis_anchor_routes_to_other_side():
     rec = sums.has_property_alpha(L2N, grid_n=2048).record(1, 0)
     z = sums.SumPoint(ONE, ZERO, L2N)
