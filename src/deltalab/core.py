@@ -202,14 +202,13 @@ class HullResult:
 
 
 def hull_norm_rows(k, embeddings):
-    """Standard-form rows of hull-distance LPs sharing the k hull weights
-    lam (columns 0..k-1) and the last row, sum lam = 1.
-
-    Each `hull_embedding` (kind, weights, [target, *vectors]) adds rows
-    P lam + d+ - d- = target over new columns d+, d-.  "w1" costs
-    weights . (d+ + d-); "winf" adds columns s and t, rows d+ + d- + s - t = 0,
-    and costs t.  Returns the exact (row, col, val) triplets of the nonzeros,
-    the rhs, and one cost per embedding over all columns."""
+    """Standard-form rows of hull-distance LPs that share the k hull weights
+    lam (columns 0..k-1) and the last row, sum lam = 1.  Each `hull_embedding`
+    (kind, weights, [target, *vectors]) adds rows P lam + d+ - d- = target
+    over new columns d+, d-.  "w1" costs weights . (d+ + d-); "winf" adds
+    columns s and t, rows d+ + d- + s - t = 0, and costs t.  Returns the exact
+    (row, col, val) triplets of the nonzeros, the rhs, and one cost per
+    embedding over all columns; `hull_norm_lp` gives them in floats."""
     row, col, val, rhs, spans = [], [], [], [], []
     ncols = k
     for kind, weights, (target, *vectors) in embeddings:
@@ -259,6 +258,17 @@ class _Block(NamedTuple):
                       np.asarray(self.col), np.asarray(self.val, dtype=float),
                       np.asarray(self.rhs, dtype=float))
 
+    def matrix(self):  # of a float block
+        return sparse.csc_array((self.val, (self.row, self.col)),
+                                shape=(len(self.rhs), len(self.cost)))
+
+
+def hull_norm_lp(k, embeddings):
+    """`hull_norm_rows` in floats: A as a CSC matrix, the rhs, the costs."""
+    row, col, val, rhs, costs = hull_norm_rows(k, embeddings)
+    block = _Block(costs[0], row, col, val, rhs).to_float()
+    return block.matrix(), block.rhs, np.asarray(costs, dtype=float)
+
 
 def _hull_lp(target, points):
     """The hull-distance LP as an exact `_Block` and k, its hull weights
@@ -294,13 +304,12 @@ def _solve_blocks(blocks):
     optimum is optimal on each block."""
     row_off = np.cumsum([0] + [len(b.rhs) for b in blocks])
     col_off = np.cumsum([0] + [len(b.cost) for b in blocks])
-    a = sparse.csc_array(
-        (np.concatenate([b.val for b in blocks]),
-         (np.concatenate([b.row + i for b, i in zip(blocks, row_off)]),
-          np.concatenate([b.col + j for b, j in zip(blocks, col_off)]))),
-        shape=(row_off[-1], col_off[-1]))
-    _, z = lp.simplex_float(np.concatenate([b.cost for b in blocks]), a,
-                            np.concatenate([b.rhs for b in blocks]))
+    stack = _Block(np.concatenate([b.cost for b in blocks]),
+                   np.concatenate([b.row + i for b, i in zip(blocks, row_off)]),
+                   np.concatenate([b.col + j for b, j in zip(blocks, col_off)]),
+                   np.concatenate([b.val for b in blocks]),
+                   np.concatenate([b.rhs for b in blocks]))
+    _, z = lp.simplex_float(stack.cost, stack.matrix(), stack.rhs)
     return [(math.fsum(b.cost * z[j:j + len(b.cost)]), z[j:j + len(b.cost)])
             for b, j in zip(blocks, col_off)]
 

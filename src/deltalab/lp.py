@@ -148,19 +148,18 @@ def _result(res):
 def simplex_float(c, A, b):
     """Same standard form through scipy/HiGHS; `A` dense or scipy-sparse.
     Returns (value, z) as floats."""
-    res = linprog(
+    return _result(linprog(
         np.asarray(c, dtype=float),
         A_eq=A if sparse.issparse(A) else np.asarray(A, dtype=float),
         b_eq=np.asarray(b, dtype=float),
         bounds=(0, None),
         method="highs",
-    )
-    return _result(res)
+    ))
 
 
 def linprog_mixed(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Thin HiGHS wrapper for mixed-form problems (float only)."""
-    res = linprog(
+    return _result(linprog(
         np.asarray(c, dtype=float),
         A_ub=None if A_ub is None else np.asarray(A_ub, dtype=float),
         b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
@@ -168,5 +167,4 @@ def linprog_mixed(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
         bounds=bounds,
         method="highs",
-    )
-    return _result(res)
+    ))

@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-from scipy import sparse
-
 from . import ck as ck_mod
 from . import l1 as l1_mod
 from . import muntz as muntz_mod
@@ -31,7 +28,7 @@ from .core import (
     DeltaLabError,
     VerificationError,
     convex_combination,
-    hull_norm_rows,
+    hull_norm_lp,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction
@@ -782,14 +779,10 @@ def hull_lower_bound_scalarized(point: SumPoint, members: Sequence[SumPoint],
     of `members` in the sum norm, via LP duality: for each nonnegative
     direction theta, min over the hull of theta . (px, py) divided by the
     dual norm of theta bounds the distance from below.  It is one standard
-    form from `core.hull_norm_rows`; theta only reweighs its two costs."""
-    row, col, entries, rhs, costs = hull_norm_rows(len(members), [
+    form from `core.hull_norm_lp`; theta only reweighs its two costs."""
+    a, b, (c_x, c_y) = hull_norm_lp(len(members), [
         type(point.x).hull_embedding([point.x] + [m.x for m in members]),
         type(point.y).hull_embedding([point.y] + [m.y for m in members])])
-    a = sparse.csc_array((np.asarray(entries, dtype=float), (row, col)),
-                         shape=(len(rhs), len(costs[0])))
-    b = np.asarray(rhs, dtype=float)
-    c_x, c_y = np.asarray(costs, dtype=float)
 
     best = 0.0
     for i in range(n_dirs):
