@@ -299,9 +299,9 @@ def _solve_blocks(blocks):
     """One HiGHS solve of the block-diagonal stack of float `_Block`s.
 
     The stacked matrix is sparse, built from each block's nonzeros shifted
-    by the rows and columns of the blocks before it.  Returns (c_b . z_b,
-    z_b) per block, in order.  The blocks share no variable, so the joint
-    optimum is optimal on each block."""
+    by the rows and columns of the blocks before it.  Returns c_b . z_b per
+    block, in order.  The blocks share no variable, so the joint optimum is
+    optimal on each block."""
     row_off = np.cumsum([0] + [len(b.rhs) for b in blocks])
     col_off = np.cumsum([0] + [len(b.cost) for b in blocks])
     stack = _Block(np.concatenate([b.cost for b in blocks]),
@@ -310,8 +310,7 @@ def _solve_blocks(blocks):
                    np.concatenate([b.val for b in blocks]),
                    np.concatenate([b.rhs for b in blocks]))
     _, z = lp.simplex_float(stack.cost, stack.matrix(), stack.rhs)
-    return [(math.fsum(b.cost * z[j:j + len(b.cost)]), z[j:j + len(b.cost)])
-            for b, j in zip(blocks, col_off)]
+    return [math.fsum(b.cost * z[j:j + len(b.cost)]) for b, j in zip(blocks, col_off)]
 
 
 def hull_distances(tasks):
@@ -327,40 +326,35 @@ def hull_distances(tasks):
             raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
         block = form[0].to_float()
         if stack and nnz + len(block.val) > _STACK_NNZ:
-            out += [value for value, _ in _solve_blocks(stack)]
+            out += _solve_blocks(stack)
             stack, nnz = [], 0
         stack.append(block)
         nnz += len(block.val)
     if stack:
-        out += [value for value, _ in _solve_blocks(stack)]
+        out += _solve_blocks(stack)
     return out
 
 
-def hull_distance_info(target, points, tol=1e-9, exact=None, max_rounds=200):
+def hull_distance_info(target, points, tol=1e-9, max_rounds=200):
     """Distance from `target` to the convex hull of `points`, with weights.
 
-    Polyhedral payloads reduce to one linear program (exact rational simplex
-    when `exact`, HiGHS otherwise).  Sup-norm payloads run a cutting-plane
-    loop: a master LP on finitely many evaluation nodes gives a lower bound,
-    a certified sup-norm of the achieved residual gives an upper bound, and
-    nodes are added until the gap is at most `tol`.
+    Polyhedral payloads reduce to one linear program, solved by the exact
+    rational simplex (float distances come from `hull_distances`).  Sup-norm
+    payloads run a cutting-plane loop: a master LP on finitely many
+    evaluation nodes gives a lower bound, a certified sup-norm of the
+    achieved residual gives an upper bound, and nodes are added until the
+    gap is at most `tol`.
     """
     form = _hull_lp(target, points)
     if form is None:
         return _hull_distance_exchange(target, points, tol, max_rounds)
     block, k = form
-    if exact is None:
-        exact = len(block.rhs) * len(block.cost) <= 30_000
-    if exact:
-        rows = [[0] * len(block.cost) for _ in block.rhs]
-        for r, c, v in zip(block.row, block.col, block.val):
-            rows[r][c] = v
-        value, z = lp.simplex_exact(block.cost, rows, block.rhs)
-        lam = tuple(z[:k])
-    else:
-        [(value, z)] = _solve_blocks([block.to_float()])
-        lam = tuple(float(v) for v in z[:k])
-    return HullResult(value=value, lower=value, upper=value, weights=lam, iterations=1)
+    rows = [[0] * len(block.cost) for _ in block.rhs]
+    for r, c, v in zip(block.row, block.col, block.val):
+        rows[r][c] = v
+    value, z = lp.simplex_exact(block.cost, rows, block.rhs)
+    return HullResult(value=value, lower=value, upper=value, weights=tuple(z[:k]),
+                      iterations=1)
 
 
 def _hull_distance_exchange(target, points, tol, max_rounds):
@@ -416,9 +410,9 @@ def convex_combination(points, weights):
     return acc
 
 
-def hull_distance(target, points, tol=1e-9, exact=None):
+def hull_distance(target, points, tol=1e-9):
     """min over convex weights of ||target - sum_i w_i p_i||, within tol."""
-    return hull_distance_info(target, points, tol=tol, exact=exact).value
+    return hull_distance_info(target, points, tol=tol).value
 
 
 # ---------------------------------------------------------------------------

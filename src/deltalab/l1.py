@@ -454,6 +454,8 @@ def _refine_for_eps(f: StepFunction, eps: Fraction):
     unit spikes are eps-far from f: pieces with |f| mass <= eps/2 each.
 
     Returns (refined model, lifted f, composite lift for other functions)."""
+    if eps <= 0:
+        raise DeltaLabError("far families need eps > 0")
     model, fl = f.model, f
     lifts = []
     for cell, value in zip(f.model.cells, f.values):
@@ -497,8 +499,6 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
     (members, weights, f, target), f and target lifted to the refined model.
     """
     eps = as_fraction(eps)
-    if eps <= 0:
-        raise DeltaLabError("far families need eps > 0")
     require_unit(f)
     ok, _ = is_daugavet_point_l1(f)
     if not ok:

@@ -4,8 +4,8 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
 
 * ``simplex_exact`` -- a two-phase tableau simplex over ``Fraction`` entries
   with Bland's smallest-index pivot rule (deterministic, anticycling).  Its
-  only caller is ``core.hull_distance_info``, when ``exact`` is set or the
-  hull LP is small.
+  only caller is ``core.hull_distance_info``, which solves every polyhedral
+  hull LP with it.
 * ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
   dense or scipy-sparse (``core.hull_distances`` passes block-diagonal
   stacks of small hull LPs, ``sums.hull_lower_bound_scalarized`` one LP).

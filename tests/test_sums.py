@@ -137,8 +137,10 @@ def test_far_families_need_positive_gamma():
                 sums.sum_daugavet_construct(u, u, L1N, F(1, 2), F(1, 2),
                                             [sums.SumPoint(u, v, L1N)], eps=eps, delta=delta)
     for eps in (0, -1):
-        with pytest.raises(core.DeltaLabError, match="far families need eps > 0"):
-            l1.delta_family(x, x, eps)
+        for family in (lambda e: l1.delta_family(x, x, e), lambda e: l1.far_vertices(x, e),
+                       lambda e: l1.sample_far_members(x, e, 10, random.Random(0))):
+            with pytest.raises(core.DeltaLabError, match="far families need eps > 0"):
+                family(eps)
     for gamma in (0, -1):
         with pytest.raises(core.DeltaLabError, match="far families need gamma > 0"):
             ck.delta_family(ONE, ZERO, F(1, 5), gamma)
