@@ -230,8 +230,8 @@ def run(config: RunConfig):
         error = None
     except (VerificationError, CertificationError) as exc:
         results, code, error = [], 2, f"{type(exc).__name__}: {exc}"
-    except (DeltaLabError, KeyError, ValueError, TypeError, AttributeError,
-            json.JSONDecodeError) as exc:
+    except (DeltaLabError, ArithmeticError, KeyError, ValueError, TypeError,
+            AttributeError, json.JSONDecodeError) as exc:
         results, code, error = [], 1, f"{type(exc).__name__}: {exc}"
     report = {
         "schema": "deltalab/1",

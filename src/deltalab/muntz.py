@@ -3,8 +3,8 @@
 Working objects are generalized polynomials sum_k a_k t^{lam_k} over an
 exponent ladder 0 < lam_1 < lam_2 < ... with sum 1/lam_n < oo (the closed
 span without constants).  Sup norms come with certified enclosures from one
-kernel, the interval branch-and-bound `sup_abs_bb`; Descartes-guided
-critical-point isolation only locates peaks and sign changes.
+kernel, the interval branch-and-bound `sup_abs_bb`.  Peaks and sign changes
+come from `_zero_pieces`, a bisection on the same interval enclosure.
 
 Everything near the right endpoint is parametrized by u = 1 - t and powers
 evaluate as exp(lam * log1p(-u)).  The witness chains need exponents around
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -154,18 +153,26 @@ def _eval_pairs_u(fpairs, const: float, u: float) -> float:
     return const + sum(c * pow_u(lam, u) for lam, c in fpairs)
 
 
-def _range_abs_bound(fpairs, const, ulo, uhi):
-    """Zeroth-order bound for |p| on [ulo, uhi]: powers are monotone in u."""
+def _range(fpairs, const: float, a, b):
+    """(lo, hi) of p over u in [a, b]: each power is monotone in u."""
     lo = hi = const
     for lam, c in fpairs:
-        a = c * pow_u(lam, uhi)
-        b = c * pow_u(lam, ulo)
-        if a > b:
-            a, b = b, a
-        lo += a
-        hi += b
-    slack = 1e-15 * (abs(lo) + abs(hi) + 1.0)
-    return max(abs(lo), abs(hi)) + slack
+        x1 = c * pow_u(lam, b)
+        x2 = c * pow_u(lam, a)
+        if x1 > x2:
+            x1, x2 = x2, x1
+        lo += x1
+        hi += x2
+    return lo, hi
+
+
+def _split(a, b):
+    """Split point of [a, b]: geometric when it spans many scales."""
+    if a > 0 and b / a > 16.0:
+        return math.sqrt(a * b)
+    if a == 0.0 and b > 1e-12:
+        return b / 4.0
+    return 0.5 * (a + b)
 
 
 def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
@@ -191,18 +198,12 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
         return abs(_eval_pairs_u(fpairs, c0, u))
 
     def bound(a, b):
-        rb = _range_abs_bound(fpairs, c0, a, b)
+        lo, hi = _range(fpairs, c0, a, b)
+        rb = max(abs(lo), abs(hi)) + 1e-15 * (abs(lo) + abs(hi) + 1.0)
         # range of p' over the interval, with sign cancellation: near a
         # critical point this shrinks like the interval, so the centered
         # form converges quadratically
-        dlo = dhi = 0.0
-        for lam1, cl in dpairs:
-            x1 = cl * pow_u(lam1, b)
-            x2 = cl * pow_u(lam1, a)
-            if x1 > x2:
-                x1, x2 = x2, x1
-            dlo += x1
-            dhi += x2
+        dlo, dhi = _range(dpairs, 0.0, a, b)
         dmax = max(abs(dlo), abs(dhi))
         cb = val(0.5 * (a + b)) + 0.5 * (b - a) * dmax
         cb += 1e-15 * (cb + 1.0)
@@ -227,12 +228,7 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
         if ub <= best + tol:
             hi = ub
             break
-        if a > 0 and b / a > 16.0:
-            mid = math.sqrt(a * b)
-        elif a == 0.0 and b > 1e-12:
-            mid = b / 4.0
-        else:
-            mid = 0.5 * (a + b)
+        mid = _split(a, b)
         if not (a < mid < b):
             dropped_hi = max(dropped_hi, ub)
             continue
@@ -261,63 +257,48 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
     return Enclosure(best, max(best, hi, dropped_hi), at)
 
 
-def descartes_bound(pairs) -> int:
-    """Sign changes of the coefficient sequence ordered by exponent (zeros
-    skipped): an upper bound for the number of positive roots."""
-    ordered = sorted(pairs, key=lambda kc: kc[0])
-    signs = [sgn(c) for _, c in ordered if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _zero_pieces(pairs):
+    """Maximal u-intervals in (0, 1), increasing, where p = sum c t^lam may vanish.
+
+    Bisection on the enclosure of `sup_abs_bb` (monotone range cut by the
+    centered form), widened by a rounding slack relative to sum |c| t^lam.
+    Intervals whose enclosure excludes 0 or is exactly [0, 0] (underflow)
+    go; the rest split down to relative width 1e-13 or until the enclosure
+    lies inside the slack.  Pieces at t = 0 and t = 1 go too: p may vanish
+    there without changing sign.
+    """
+    fpairs = _float_terms(pairs)
+    dpairs = [(lam - 1.0, c * lam) for lam, c in fpairs]
+    apairs = [(lam, abs(c)) for lam, c in fpairs]
+    pieces = []
+    todo = [(0.0, 1.0)]
+    for _ in range(100_000):
+        if not todo:
+            break
+        a, b = todo.pop()
+        lo, hi = _range(fpairs, 0.0, a, b)
+        dlo, dhi = _range(dpairs, 0.0, a, b)
+        r = 0.5 * (b - a) * max(abs(dlo), abs(dhi))
+        pm = _eval_pairs_u(fpairs, 0.0, 0.5 * (a + b))
+        lo, hi = max(lo, pm - r), min(hi, pm + r)
+        # rounding error of the sums scales with the largest terms, not p
+        slack = 1e-14 * _range(apairs, 0.0, a, b)[1]
+        if lo > slack or hi < -slack or lo == hi == 0.0:
+            continue
+        mid = _split(a, b)
+        if max(-lo, hi) > slack and b - a > 1e-13 * b and a < mid < b:
+            todo += [(mid, b), (a, mid)]
+        elif pieces and pieces[-1][1] == a:
+            pieces[-1] = (pieces[-1][0], b)
+        else:
+            pieces.append((a, b))
+    else:
+        raise CertificationError("zero search not resolved after 100000 nodes")
+    return [(a, b) for a, b in pieces if 0.0 < a and b < 1.0]
 
 
 def _derivative_pairs(pairs):
-    return [(lam - 1, c * lam) for lam, c in pairs if c != 0]
-
-
-def _eval_pairs_t(fpairs, const: float, t: float) -> float:
-    total = const
-    for lam, c in fpairs:
-        if t == 0.0:
-            total += c * (1.0 if lam == 0 else 0.0)
-        else:
-            total += c * t ** lam
-    return total
-
-
-def _isolate_positive_roots(pairs, lo=0.0, hi=1.0, base_grid=257, max_refine=6):
-    """Bracket the roots of a generalized polynomial on (lo, hi).
-
-    Certified when the number of sign-change brackets matches the Descartes
-    bound (then every root is simple and bracketed); returns None otherwise.
-    """
-    bound = descartes_bound(pairs)
-    fpairs = _float_terms(pairs)
-    for r in range(max_refine):
-        n = base_grid * 2 ** r
-        ts = np.linspace(lo, hi, n)
-        vals = [_eval_pairs_t(fpairs, 0.0, float(t)) for t in ts]
-        brackets = []
-        for i in range(n - 1):
-            if vals[i] == 0.0:
-                continue
-            if vals[i] * vals[i + 1] < 0:
-                brackets.append((float(ts[i]), float(ts[i + 1])))
-        if len(brackets) == bound:
-            return brackets
-    return None
-
-
-def _bisect_bracket(fpairs, a, b, width=1e-13):
-    fa = _eval_pairs_t(fpairs, 0.0, a)
-    while b - a > width:
-        m = 0.5 * (a + b)
-        fm = _eval_pairs_t(fpairs, 0.0, m)
-        if fm == 0.0:
-            return m, m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return a, b
+    return [(lam - 1, c * lam) for lam, c in pairs if c * lam != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +343,11 @@ class MuntzPolynomial:
         return self.eval_u(1.0 - float(t))
 
     def derivative_value(self, t: float) -> float:
-        return _eval_pairs_t(_float_terms(_derivative_pairs(self.exponent_pairs())), 0.0, t)
+        """p'(t) in t coordinates, with 0^0 = 1."""
+        total = 0.0
+        for lam, c in _float_terms(_derivative_pairs(self.exponent_pairs())):
+            total += c * (t ** lam if t else float(lam == 0))
+        return total
 
     def sup_enclosure(self, tol=NORM_TOL, u_lo=0.0, u_hi=1.0) -> Enclosure:
         pairs = self.exponent_pairs()
@@ -763,35 +748,15 @@ class SeparationReport:
 
 
 def _locate_peaks(f: MuntzPolynomial, min_separation=1e-4, tol=1e-7):
-    """Interior points where |f| attains its (unit) norm, numerically
-    isolated; falls back to a dense grid with a widened tolerance."""
-    pairs = f.exponent_pairs()
-    brackets = _isolate_positive_roots(_derivative_pairs(pairs))
-    candidates = []
-    if brackets is not None:
-        dfl = _float_terms(_derivative_pairs(pairs))
-        for a, b in brackets:
-            a2, b2 = _bisect_bracket(dfl, a, b)
-            candidates.append(0.5 * (a2 + b2))
-    else:
-        ts = np.linspace(0.0, 1.0, 8193)
-        vals = np.abs([f.eval_t(float(t)) for t in ts])
-        for i in range(1, len(ts) - 1):
-            if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-                candidates.append(float(ts[i]))
-        warnings.warn("critical-point isolation uncertified; using grid maxima")
-
-    peaks = [t for t in candidates if abs(f.eval_t(t)) >= 1 - tol]
-    if not peaks:
-        warnings.warn("no peaks at tolerance 1e-7; widening to 1e-5")
-        peaks = [t for t in candidates if abs(f.eval_t(t)) >= 1 - 1e-5]
-    merged = []
-    for t in sorted(peaks):
-        if merged and t - merged[-1] < min_separation:
-            warnings.warn(f"merging peaks {merged[-1]} and {t} closer than {min_separation}")
-            continue
-        merged.append(t)
-    return merged
+    """Interior points t where |f| attains its unit norm, increasing: the
+    midpoints of the zero pieces of f' at which |f| >= 1 - tol.  Of two
+    peaks closer than min_separation the right one is dropped."""
+    peaks = []
+    for a, b in reversed(_zero_pieces(_derivative_pairs(f.exponent_pairs()))):
+        u = 0.5 * (a + b)
+        if abs(f.eval_u(u)) >= 1 - tol and not (peaks and 1 - u - peaks[-1] < min_separation):
+            peaks.append(1 - u)
+    return peaks
 
 
 def separation_check_muntz(f: MuntzPolynomial, candidates: Sequence[MuntzPolynomial],
@@ -800,8 +765,9 @@ def separation_check_muntz(f: MuntzPolynomial, candidates: Sequence[MuntzPolynom
     |f|, and the batch stays a guaranteed hull distance > eps away from f.
 
     eps must clear the threshold min(1/(2m), 1 - off-peak max, 1/4) computed
-    from the numerically isolated peaks; candidates that are not certifiably
-    far are skipped with a note.
+    from the m peaks of `_locate_peaks`, with the off-peak max a certified
+    enclosure; candidates that are not certifiably far are skipped with a
+    note.
     """
     eps = float(eps)
     _require_constant_free(f.ladder)
@@ -891,21 +857,10 @@ class MuntzDecomposition:
 
 
 def _last_sign_change(pairs) -> float:
-    """Right end of the last bracketed root on (0,1), or 0.0 when none;
-    grid fallback when isolation is uncertified."""
-    if not pairs:
-        return 0.0
-    brackets = _isolate_positive_roots(pairs)
-    if brackets is not None:
-        return brackets[-1][1] if brackets else 0.0
-    fpairs = _float_terms(pairs)
-    ts = np.linspace(1e-6, 1.0, 4097)
-    vals = [_eval_pairs_t(fpairs, 0.0, float(t)) for t in ts]
-    last = 0.0
-    for i in range(len(ts) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            last = float(ts[i + 1])
-    return last
+    """t at the right end of the last interior zero piece of p (the first in
+    u), or 0.0 when there is none."""
+    pieces = _zero_pieces(pairs)
+    return 1 - pieces[0][0] if pieces else 0.0
 
 
 def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
@@ -914,9 +869,10 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
     both parts certified inside the ball, and coefficient-exact
     reconstruction: f+- = f + (+-1 - f(1)) t^{lam_n} and mu = (f(1)+1)/2.
 
-    The search starts at the least n with t0^{lam_n} < deficit/2 (t0 past
-    the last sign change of f' and f'') and accepts the first n whose parts
-    certify; the cap is a budget, termination is guaranteed by summability.
+    The search starts at the least n with t0^{lam_n} < deficit/2 (t0 the
+    right end of the last zero piece of f' and of f'', see `_zero_pieces`)
+    and accepts the first n whose parts certify; the cap is a budget,
+    termination is guaranteed by summability.
     """
     if cap < 0:
         raise DeltaLabError("decomposition needs cap >= 0")

@@ -221,6 +221,13 @@ def test_precondition_violation_exits_one(capsys):
           "--eps", "0"], "decomposition needs eps > 0"),
         (["decompose", "--space", "muntz", "--point", '{"terms":[[1,"1/2"]]}',
           "--cap=-1"], "decomposition needs cap >= 0"),
+        # arithmetic errors in the inputs: reported, not a traceback
+        (["sums", "--dirichlet", "1/0,1", "--eps", "1/20"], "ZeroDivisionError"),
+        (["sums", "--dirichlet", "1/2,1/2", "--eps", "1/0"], "ZeroDivisionError"),
+        (["decompose", "--space", "muntz", "--point", '{"terms":[[1,"1/0"]]}'],
+         "ZeroDivisionError"),
+        (["certify", "--space", "muntz", "--point", '{"terms":[[1,"1e400"]]}'],
+         "OverflowError"),
     ]:
         code, out = run_cli(argv, capsys)
         assert code == 1, argv

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -171,24 +172,32 @@ def test_spike_l_minimal_under_closed_form(eps):
 
 
 # ---------------------------------------------------------------------------
-# sign-change counting
-
-
-def test_descartes_examples():
-    assert muntz.descartes_bound(T_MINUS_T4.exponent_pairs()) == 1
-    three = poly((1, 1), (2, -2), (3, 1))
-    assert muntz.descartes_bound(three.exponent_pairs()) == 2
-    allpos = poly((1, 1), (2, 2), (3, F(1, 3)))
-    assert muntz.descartes_bound(allpos.exponent_pairs()) == 0
+# zero pieces: peaks and sign changes
 
 
 @given(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
-def test_descartes_dominates_isolated_roots(coeffs):
-    pairs = [(F(k * k), F(c)) for k, c in enumerate(coeffs, start=1)]
-    brackets = muntz._isolate_positive_roots(pairs)
-    if brackets is not None:
-        assert len(brackets) <= muntz.descartes_bound(pairs)
+def test_zero_pieces_cover_sign_changes(coeffs):
+    p = poly(*enumerate(coeffs, start=1))
+    pieces = muntz._zero_pieces(p.exponent_pairs())
+    us = [1 - float(t) for t in np.linspace(0.0, 1.0, 4097)]
+    vals = [p.eval_u(u) for u in us]
+    for u0, u1, v0, v1 in zip(us, us[1:], vals, vals[1:]):
+        if v0 * v1 < 0:
+            assert any(a <= u0 and u1 <= b for a, b in pieces), (u0, u1, pieces)
+    if len({c > 0 for c in coeffs}) == 1:
+        assert pieces == []
+
+
+def test_zero_piece_of_t_minus_t4_derivative_is_tight():
+    pieces = muntz._zero_pieces(muntz._derivative_pairs(T_MINUS_T4.exponent_pairs()))
+    assert len(pieces) == 1
+    (a, b), = pieces
+    assert 1 - b <= 4 ** (-1 / 3) <= 1 - a and b - a <= 1e-12 * (1 - b)
+
+
+def test_derivative_pairs_drop_vanishing_terms():
+    assert muntz._derivative_pairs(muntz._derivative_pairs(T.exponent_pairs())) == []
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +336,15 @@ def test_separation_threshold_enforced():
     f = normalized(T_MINUS_T4)
     with pytest.raises(core.DeltaLabError):
         muntz.separation_check_muntz(f, [-f], eps=0.3)
+
+
+def test_separation_finds_deep_peak():
+    # the peak sits at 1 - t ~ 1e-10, between the points of any t-grid
+    f = muntz.spike_search(LAD, 1e-9, 0.05).f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = muntz.separation_check_muntz(f, [-f], eps=0.01)
+    assert rep.rows[0].status == "verified"
 
 
 def test_separation_rejects_endpoint_normers():
