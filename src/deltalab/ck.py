@@ -13,6 +13,7 @@ the model's substitute for "K is infinite".  Values are exact rationals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,8 +29,8 @@ from .core import (
     VerificationError,
     Verdict,
     WitnessRecord,
-    convex_combination,
     cube_slice_vertices,
+    mean,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction, sgn
@@ -74,68 +75,109 @@ class TailSequence:
             raise DeltaLabError(f"index {k} outside the finite model")
         return self.limit
 
+    def _coords(self, length: int) -> tuple:
+        """Prefix padded with the limit to `length` (at least the prefix
+        length), then the limit; the prefix alone for LINF_N."""
+        if self.variant is Variant.LINF_N:
+            return self.prefix
+        return self.prefix + (self.limit,) * (length - len(self.prefix) + 1)
+
     def norm(self) -> Fraction:
-        best = max((abs(v) for v in self.prefix), default=Fraction(0))
-        if self.variant is not Variant.LINF_N:
-            best = max(best, abs(self.limit))
-        return best
+        distinct = {id(v): v for v in self._coords(len(self.prefix))}
+        return max(abs(v) for v in distinct.values())
 
     def embed(self, length: int):
         """Coordinates (prefix padded with the limit up to `length`, limit)."""
-        if self.variant is Variant.LINF_N:
-            if length != len(self.prefix):
-                raise DeltaLabError("LINF_N points have a fixed dimension")
-            return list(self.prefix)
-        coords = [self.value_at(k) for k in range(length)]
-        coords.append(self.limit)
-        return coords
+        if self.variant is Variant.LINF_N and length != len(self.prefix):
+            raise DeltaLabError("LINF_N points have a fixed dimension")
+        return list(self._coords(length))
 
-    def _binop(self, other, op):
+    def _aligned(self, other):
+        """Coordinates of self and other on one index set (`_coords` of the
+        longer prefix length)."""
         if not isinstance(other, TailSequence):
             raise DeltaLabError("tail sequences combine with tail sequences")
         if (self.variant is Variant.LINF_N) != (other.variant is Variant.LINF_N):
             raise DeltaLabError("cannot mix LINF_N with limit variants")
-        if self.variant is Variant.LINF_N:
-            if len(self.prefix) != len(other.prefix):
-                raise DeltaLabError("LINF_N points need matching dimension")
-            return TailSequence(
-                tuple(op(a, b) for a, b in zip(self.prefix, other.prefix)),
-                None, Variant.LINF_N)
+        if self.variant is Variant.LINF_N and len(self.prefix) != len(other.prefix):
+            raise DeltaLabError("LINF_N points need matching dimension")
         n = max(len(self.prefix), len(other.prefix))
-        prefix = tuple(op(self.value_at(k), other.value_at(k)) for k in range(n))
-        limit = op(self.limit, other.limit)
-        variant = Variant.C0 if (
-            self.variant is Variant.C0 and other.variant is Variant.C0) else Variant.C
-        return TailSequence(prefix, limit, variant)
+        return self._coords(n), other._coords(n)
+
+    def _binop(self, other, op):
+        """Coordinatewise op.  Each distinct pair of coordinate objects is
+        combined once, and equal results share one Fraction, so a sum of
+        sequences that differ in few places stays cheap to extend."""
+        results, shared = {}, {}
+        vals = []
+        for a, b in zip(*self._aligned(other)):
+            key = (id(a), id(b))
+            v = results.get(key)
+            if v is None:
+                v = op(a, b)
+                v = results[key] = shared.setdefault(v, v)
+            vals.append(v)
+        variant = self.variant if self.variant is other.variant else Variant.C
+        return TailSequence._from_coords(vals, variant)
+
+    @staticmethod
+    def _from_coords(vals: list, variant: Variant) -> "TailSequence":
+        """Trusted constructor for operator results, the inverse of
+        `_coords`: `vals` are Fractions that already satisfy the variant,
+        so `__post_init__` (and `as_fraction`) is skipped."""
+        p = object.__new__(TailSequence)
+        if variant is Variant.LINF_N:
+            p.__dict__.update(prefix=tuple(vals), limit=None, variant=variant)
+        else:
+            p.__dict__.update(prefix=tuple(vals[:-1]), limit=vals[-1], variant=variant)
+        return p
+
+    def distance(self, other) -> Fraction:
+        """||self - other|| without building the difference: the max over
+        the distinct pairs of coordinate objects."""
+        pairs = {(id(a), id(b)): (a, b) for a, b in zip(*self._aligned(other))}
+        return max(abs(a - b) for a, b in pairs.values())
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, operator.sub)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, operator.add)
 
     def __neg__(self):
-        lim = None if self.variant is Variant.LINF_N else -self.limit
-        return TailSequence(tuple(-v for v in self.prefix), lim, self.variant)
+        return self * -1
 
     def __mul__(self, scalar):
+        (p,) = TailSequence.scale_all([self], scalar)
+        return p
+
+    @staticmethod
+    def scale_all(points, scalar) -> list:
+        """[scalar * p for p in points], scaling each distinct coordinate
+        object once across all the points: equal coordinates of the results
+        share one Fraction, as the members of a scaled far family do."""
         s = as_fraction(scalar)
-        lim = None if self.variant is Variant.LINF_N else s * self.limit
-        return TailSequence(tuple(s * v for v in self.prefix), lim, self.variant)
+        products = {}
+        out = []
+        for p in points:
+            vals = []
+            for v in p._coords(len(p.prefix)):
+                q = products.get(id(v))
+                if q is None:
+                    q = products[id(v)] = s * v
+                vals.append(q)
+            out.append(TailSequence._from_coords(vals, p.variant))
+        return out
 
     __rmul__ = __mul__
 
     def with_value(self, k: int, value) -> "TailSequence":
         """Copy with index k set to `value` (prefix extended as needed)."""
-        if self.variant is Variant.LINF_N:
-            if k >= len(self.prefix):
-                raise DeltaLabError("cannot extend a LINF_N point")
-            vals = list(self.prefix)
-        else:
-            vals = [self.value_at(i) for i in range(max(k + 1, len(self.prefix)))]
+        if self.variant is Variant.LINF_N and k >= len(self.prefix):
+            raise DeltaLabError("cannot extend a LINF_N point")
+        vals = list(self._coords(max(k + 1, len(self.prefix))))
         vals[k] = as_fraction(value)
-        lim = None if self.variant is Variant.LINF_N else self.limit
-        return TailSequence(tuple(vals), lim, self.variant)
+        return TailSequence._from_coords(vals, self.variant)
 
     @staticmethod
     def hull_embedding(points: Sequence["TailSequence"]):
@@ -268,11 +310,11 @@ def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitn
         members.append(g.with_value(start + i, flip))
         fresh.append(start + i)
 
-    dmin = min((f - gi).norm() for gi in members)
+    dmin = min(f.distance(gi) for gi in members)
     if dmin < 2 - eps:
         raise VerificationError(f"witness distance {float(dmin)} below 2 - eps")
-    avg = convex_combination(members, [Fraction(1, m)] * m)
-    err = (g - avg).norm()
+    avg = mean(members)
+    err = g.distance(avg)
     if err > Fraction(2, m):
         raise VerificationError(f"average drifted {float(err)} > 2/m")
     for gi in members:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
+import scipy  # scipy.sparse loads with the first LP matrix
 
 from . import lp
 from .util import UNIT_TOL, as_fraction
@@ -259,8 +259,8 @@ class _Block(NamedTuple):
                       np.asarray(self.rhs, dtype=float))
 
     def matrix(self):  # of a float block
-        return sparse.csc_array((self.val, (self.row, self.col)),
-                                shape=(len(self.rhs), len(self.cost)))
+        return scipy.sparse.csc_array((self.val, (self.row, self.col)),
+                                      shape=(len(self.rhs), len(self.cost)))
 
 
 def hull_norm_lp(k, embeddings):
@@ -408,6 +408,17 @@ def convex_combination(points, weights):
         term = w * p
         acc = term if acc is None else acc + term
     return acc
+
+
+def mean(points, counts=None):
+    """Equal-weight mean of `points`, each taken counts[i] times (default
+    once): sum_i k_i p_i / sum_i k_i, summed first and scaled once."""
+    counts = [1] * len(points) if counts is None else counts
+    acc = None
+    for p, k in zip(points, counts):
+        term = p if k == 1 else k * p
+        acc = term if acc is None else acc + term
+    return Fraction(1, sum(counts)) * acc
 
 
 def hull_distance(target, points, tol=1e-9):

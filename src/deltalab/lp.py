@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+import scipy  # sparse and optimize load on first use, with the first LP
 
 from .util import as_fraction
 
@@ -148,9 +147,9 @@ def _result(res):
 def simplex_float(c, A, b):
     """Same standard form through scipy/HiGHS; `A` dense or scipy-sparse.
     Returns (value, z) as floats."""
-    return _result(linprog(
+    return _result(scipy.optimize.linprog(
         np.asarray(c, dtype=float),
-        A_eq=A if sparse.issparse(A) else np.asarray(A, dtype=float),
+        A_eq=A if scipy.sparse.issparse(A) else np.asarray(A, dtype=float),
         b_eq=np.asarray(b, dtype=float),
         bounds=(0, None),
         method="highs",
@@ -159,7 +158,7 @@ def simplex_float(c, A, b):
 
 def linprog_mixed(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Thin HiGHS wrapper for mixed-form problems (float only)."""
-    return _result(linprog(
+    return _result(scipy.optimize.linprog(
         np.asarray(c, dtype=float),
         A_ub=None if A_ub is None else np.asarray(A_ub, dtype=float),
         b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),

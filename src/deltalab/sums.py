@@ -29,6 +29,7 @@ from .core import (
     VerificationError,
     convex_combination,
     hull_norm_lp,
+    mean,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction
@@ -222,59 +223,74 @@ class SumPoint:
     __rmul__ = __mul__
 
     def distance(self, other):
-        d = self - other
-        return self.norm_rule(d.x.norm(), d.y.norm())
+        if not isinstance(other, SumPoint) or other.norm_rule != self.norm_rule:
+            raise DeltaLabError("sum points must share the norm rule")
+        return self.norm_rule(_component_distance(self.x, other.x),
+                              _component_distance(self.y, other.y))
+
+
+def _component_distance(a, b):
+    """||a - b|| in a component space: its fused `distance` where the point
+    type has one, the norm of the difference otherwise."""
+    fused = getattr(a, "distance", None)
+    return fused(b) if fused is not None else (a - b).norm()
 
 
 # ---------------------------------------------------------------------------
 # simultaneous rational approximation of convex weights
 
 
-def _round_counts(weights, n):
-    base = [int(n * w + Fraction(1, 2)) for w in weights]
-    diff = n - sum(base)
-    if diff != 0:
-        rema = sorted(
-            range(len(weights)),
-            key=lambda i: (-(n * weights[i] - base[i]), i))
-        j = 0
-        while diff != 0 and j < 4 * len(weights):
-            i = rema[j % len(weights)]
-            if diff > 0:
-                base[i] += 1
-                diff -= 1
-            elif base[i] > 0:
-                base[i] -= 1
-                diff += 1
-            j += 1
-    return base
-
-
-def _normalize_weights(weights):
+def _integer_weights(weights):
+    """Positive weights summing to 1 as integer numerators a_i over their
+    common denominator D; returns (a, D)."""
     w = [as_fraction(v) for v in weights]
     if any(v <= 0 for v in w):
         raise DeltaLabError("weights must be positive")
     total = sum(w, Fraction(0))
     if abs(total - 1) > Fraction(1, 10**9):
         raise DeltaLabError("weights must sum to 1")
-    return [v / total for v in w]
+    w = [v / total for v in w]
+    d = math.lcm(*(v.denominator for v in w))
+    return [v.numerator * (d // v.denominator) for v in w], d
+
+
+def _round_counts(a, d, n):
+    """Largest-remainder counts k_i of n a_i / d: round half up, then move
+    the surplus or deficit one unit per index, largest remainder first (ties
+    to the lower index), passing over zero counts when taking away.  As
+    every a_i > 0 and sum a_i = d, one pass settles it and sum k_i = n."""
+    k = [(2 * n * ai + d) // (2 * d) for ai in a]
+    diff = n - sum(k)
+    if diff == 0:
+        return k
+    step = 1 if diff > 0 else -1
+    for i in sorted(range(len(a)), key=lambda i: (k[i] * d - n * a[i], i)):
+        if diff == 0:
+            break
+        if diff > 0 or k[i] > 0:
+            k[i] += step
+            diff -= step
+    return k
 
 
 def _dirichlet_scan(vectors, eps, n_max):
     """Smallest n (under the scan order) whose largest-remainder counts k
-    sum to n with sum |w_i - k_i/n| < eps for every weight vector w."""
+    sum to n with sum |w_i - k_i/n| < eps for every weight vector w.
+
+    In integers: with w_i = a_i/D and eps = p/q the test is
+    q * sum |n a_i - k_i D| < p n D."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise DeltaLabError("eps must be positive")
-    ws = [_normalize_weights(v) for v in vectors]
+    p, q = eps.numerator, eps.denominator
+    ws = [_integer_weights(v) for v in vectors]
     for n in range(1, n_max + 1):
         counts = []
-        for w in ws:
-            c = _round_counts(w, n)
-            if (sum(c) != n or min(c) < 0
-                    or sum(abs(wi - Fraction(k, n)) for wi, k in zip(w, c)) >= eps):
+        for a, d in ws:
+            k = _round_counts(a, d, n)
+            if q * sum(abs(n * ai - ki * d) for ai, ki in zip(a, k)) >= p * n * d:
                 break
-            counts.append(tuple(c))
+            counts.append(tuple(k))
         else:
             return n, counts
     raise DeltaLabError("dirichlet scan exhausted")
@@ -481,9 +497,14 @@ def _scaled_family(anchor, target_component, scale, eps_comp, gamma, fam):
         return [(0 * anchor, Fraction(1))], anchor, 0 * anchor
     normalized = (1 / as_fraction(scale)) * target_component
     members, weights, anchor2, target2 = fam(anchor, normalized, eps_comp, gamma)
-    scale = as_fraction(scale)
-    return ([(scale * m, w) for m, w in zip(members, weights)],
-            anchor2, scale * target2)
+    return list(zip(_scale_all(members, scale), weights)), anchor2, scale * target2
+
+
+def _scale_all(points, scale):
+    """scale * p for each point; a payload type with a `scale_all` shares
+    the products of equal coordinates across the points."""
+    shared = getattr(type(points[0]), "scale_all", None)
+    return shared(points, scale) if shared is not None else [scale * p for p in points]
 
 
 @dataclass(frozen=True)
@@ -506,20 +527,45 @@ def _equal_counts(parts_x, parts_y, eps):
     return n, xs, ys
 
 
-def _verify_far_average(anchor, members, n, eps, target, bound, what):
+def _at_most(a, b):
+    """a <= b: exact when both are Fractions, with 1e-9 slack for floats."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a <= b
+    return float(a) <= float(b) + 1e-9
+
+
+def _tally(points):
+    """Distinct objects among `points` (by identity) with their counts."""
+    counts = {}
+    for p in points:
+        entry = counts.setdefault(id(p), [p, 0])
+        entry[1] += 1
+    return list(counts.values())
+
+
+def _verify_far_average(anchor, members, eps, target, bound, what):
     """Re-verify that every member is 2 - eps far from the anchor and that
-    the equal-weight average of the n members lies within bound of target;
-    returns (min distance, average error)."""
-    dmin = min(float(anchor.distance(mem)) for mem in members)
-    if dmin < 2 - float(eps) - 1e-9:
+    the equal-weight average of the members lies within bound of target;
+    returns (min distance, average error) as floats.
+
+    Members repeat by their Dirichlet counts, so each distinct component
+    member is measured once, each distinct pair of components is combined
+    in the sum norm once, and the average is sum_i k_i m_i / n over the
+    distinct component members."""
+    xs, ys = _tally(m.x for m in members), _tally(m.y for m in members)
+    dx = {id(p): _component_distance(anchor.x, p) for p, _ in xs}
+    dy = {id(p): _component_distance(anchor.y, p) for p, _ in ys}
+    pairs = {(id(m.x), id(m.y)) for m in members}
+    dmin = min(anchor.norm_rule(dx[i], dy[j]) for i, j in pairs)
+    if not _at_most(2 - as_fraction(eps), dmin):
         raise VerificationError(
-            f"{what} member at distance {dmin} < 2 - eps from the anchor")
-    avg = convex_combination(members, [Fraction(1, n)] * n)
-    err = float(target.distance(avg))
-    if err > float(bound) + 1e-9:
+            f"{what} member at distance {float(dmin)} < 2 - eps from the anchor")
+    avg = SumPoint(mean(*zip(*xs)), mean(*zip(*ys)), anchor.norm_rule)
+    err = target.distance(avg)
+    if not _at_most(err, as_fraction(bound)):
         raise VerificationError(
-            f"{what} average misses the target by {err} > {float(bound)}")
-    return dmin, err
+            f"{what} average misses the target by {float(err)} > {float(bound)}")
+    return float(dmin), float(err)
 
 
 def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
@@ -573,8 +619,9 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
             ty.append(t)
             # equalize the branch pair before merging across branches
             n, xs, ys = _equal_counts(bx, by, gamma)
-            parts_x += [(m, bw / n) for m in xs]
-            parts_y += [(m, bw / n) for m in ys]
+            w = bw / n
+            parts_x += [(m, w) for m in xs]
+            parts_y += [(m, w) for m in ys]
 
         # pair the merged families into equal-count sum members and re-verify
         bws = [bw for _, bw in branches]
@@ -583,7 +630,7 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
         n, xs, ys = _equal_counts(parts_x, parts_y, gamma)
         members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
         anchor = SumPoint(a * anchor_x, b * anchor_y, norm)
-        dmin, err = _verify_far_average(anchor, members, n, eps, target_check, delta,
+        dmin, err = _verify_far_average(anchor, members, eps, target_check, delta,
                                         "constructed")
         results.append(SumConstructResult(target, tuple(members), n, dmin, err))
     return results
@@ -615,17 +662,17 @@ def sum_delta_lift(x, y, norm: AbsoluteNorm, a, b, eps, gamma) -> LiftResult:
         parts_x, anchor_x = [(0 * x, Fraction(1))], x
     else:
         members, weights, anchor_x, _ = _space_of(x)[1](x, x, eps, gam)
-        parts_x = list(zip(members, weights))
+        parts_x = list(zip(_scale_all(members, a), weights))
     if b == 0:
         parts_y, anchor_y = [(0 * y, Fraction(1))], y
     else:
         members, weights, anchor_y, _ = _space_of(y)[1](y, y, eps, gam)
-        parts_y = list(zip(members, weights))
+        parts_y = list(zip(_scale_all(members, b), weights))
 
     n, xs, ys = _equal_counts(parts_x, parts_y, gam)
-    members = [SumPoint(a * px, b * py, norm) for px, py in zip(xs, ys)]
+    members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
     z = SumPoint(a * anchor_x, b * anchor_y, norm)
-    dmin, err = _verify_far_average(z, members, n, eps, z, gamma, "lift")
+    dmin, err = _verify_far_average(z, members, eps, z, gamma, "lift")
     return LiftResult(z, tuple(members), n, dmin, err)
 
 

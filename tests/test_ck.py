@@ -201,6 +201,47 @@ def test_c0_always_refuted(seed):
     assert rep.all_delta_no
 
 
+def _sup_difference(a, b):
+    """max_k |a(k) - b(k)| over every index, the limit included."""
+    n = max(len(a.prefix), len(b.prefix))
+    diffs = [abs(a.value_at(k) - b.value_at(k)) for k in range(n)]
+    if a.variant is not ck.Variant.LINF_N:
+        diffs.append(abs(a.limit - b.limit))
+    return max(diffs)
+
+
+def test_fused_distance_matches_norm_of_difference():
+    rng = random.Random(12)
+    for variant in ck.Variant:
+        for _ in range(100):
+            n = rng.randrange(1, 7)
+            la, lb = (n, n) if variant is ck.Variant.LINF_N else (rng.randrange(0, 7), n)
+            lims = [None, None] if variant is ck.Variant.LINF_N else (
+                [0, 0] if variant is ck.Variant.C0 else [rng.choice(GRID), rng.choice(GRID)])
+            a = seq([rng.choice(GRID) for _ in range(la)], lims[0], variant)
+            b = seq([rng.choice(GRID) for _ in range(lb)], lims[1], variant)
+            # a copy of a with one value changed shares a's coordinate objects
+            c = a.with_value(rng.randrange(0, la or 1), rng.choice(GRID)) if la else a
+            for p, q in ((a, b), (b, a), (a, c), (a, a)):
+                assert p.distance(q) == (p - q).norm() == _sup_difference(p, q)
+    with pytest.raises(core.DeltaLabError, match="cannot mix"):
+        seq((1,), variant=ck.Variant.LINF_N).distance(seq((1,), 0))
+    with pytest.raises(core.DeltaLabError, match="matching dimension"):
+        seq((1,), variant=ck.Variant.LINF_N).distance(seq((1, 0), variant=ck.Variant.LINF_N))
+
+
+def test_scaling_shares_equal_coordinates():
+    g = seq((F(1, 2), F(1, 4)), F(1, 4))
+    flip = F(-1)
+    members = [g.with_value(k, flip) for k in range(2, 6)]
+    scaled = ck.TailSequence.scale_all(members, F(2, 3))
+    for m, s in zip(members, scaled):
+        assert s == F(2, 3) * m
+        assert s.prefix == tuple(F(2, 3) * v for v in m.prefix) and s.limit == F(1, 6)
+    # one Fraction per distinct coordinate object, shared by all the members
+    assert len({id(v) for s in scaled for v in s.prefix + (s.limit,)}) == 4
+
+
 def test_arithmetic_guards():
     with pytest.raises(core.DeltaLabError):
         seq((1,), variant=ck.Variant.LINF_N) + seq((1,), 0)

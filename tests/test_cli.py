@@ -25,13 +25,18 @@ def run_cli(argv, capsys):
     return code, out
 
 
-def run_module(argv, flags=(), timeout=120):
-    """`python -m deltalab.cli argv` in a child process."""
+def run_python(args, timeout=120):
+    """`python args` in a child process that imports this deltalab."""
     src = str(Path(deltalab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *flags, "-m", "deltalab.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_module(argv, flags=(), timeout=120):
+    """`python -m deltalab.cli argv` in a child process."""
+    return run_python([*flags, "-m", "deltalab.cli", *argv], timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +285,26 @@ def test_module_run_without_runtime_warning():
                       flags=["-W", "error::RuntimeWarning"])
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_scipy_solvers_load_with_the_first_lp():
+    # numpy and scipy stay importable by name; scipy.sparse and
+    # scipy.optimize wait until a command builds or solves an LP
+    script = """if True:
+        import sys
+        import deltalab.cli
+        from deltalab import lp
+        loaded = lambda: [m for m in ("numpy", "scipy", "scipy.sparse", "scipy.optimize")
+                          if m in sys.modules]
+        assert deltalab.cli.main(["sums", "--dirichlet", "2/5,3/5", "--eps", "1/20"]) == 0
+        print(loaded())
+        lp.simplex_float([1.0], [[1.0]], [1.0])
+        print(loaded())
+    """
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "['numpy', 'scipy']", "['numpy', 'scipy', 'scipy.sparse', 'scipy.optimize']"]
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,53 @@ def test_dirichlet_examples():
     assert sums.dirichlet_average([F(2, 5), F(3, 5)], F(1, 20)) == (5, (2, 3))
 
 
+def _reference_counts(w, n):
+    """Largest-remainder counts of n w in plain Fractions: round half up,
+    then move the surplus or deficit along the remainders, largest first and
+    ties to the lower index, at most four times around."""
+    base = [math.floor(n * wi + F(1, 2)) for wi in w]
+    diff = n - sum(base)
+    order = sorted(range(len(w)), key=lambda i: (base[i] - n * w[i], i))
+    j = 0
+    while diff != 0 and j < 4 * len(w):
+        i = order[j % len(w)]
+        if diff > 0:
+            base[i] += 1
+            diff -= 1
+        elif base[i] > 0:
+            base[i] -= 1
+            diff += 1
+        j += 1
+    return base
+
+
+def _reference_scan(vectors, eps, n_max=100_000):
+    """The first n whose counts sum to n with sum |w_i - k_i/n| < eps for
+    every weight vector, with its counts."""
+    for n in range(1, n_max + 1):
+        counts = [_reference_counts(w, n) for w in vectors]
+        if all(sum(k) == n and sum(abs(wi - F(ki, n)) for wi, ki in zip(w, k)) < eps
+               for w, k in zip(vectors, counts)):
+            return n, [tuple(k) for k in counts]
+    raise AssertionError("reference scan exhausted")
+
+
+def test_integer_scan_matches_fraction_reference():
+    rng = random.Random(2024)
+    for _ in range(150):
+        vectors = []
+        for _ in range(rng.randint(1, 3)):
+            # small ranges repeat values, which exercises ties and equal remainders
+            raw = [rng.randint(1, rng.choice((2, 5, 30))) for _ in range(rng.randint(1, 8))]
+            vectors.append([F(r, sum(raw)) for r in raw])
+        eps = rng.choice((F(1), F(1, 2), F(1, 7), F(1, 30), F(1, 120)))
+        assert sums._dirichlet_scan(vectors, eps, 100_000) == _reference_scan(vectors, eps)
+    # n = 2 rounds half up to (0, 1, 1, 1); the deficit passes over the zero count
+    w = [F(1, 10), F(3, 10), F(3, 10), F(3, 10)]
+    assert _reference_scan([w], 1) == (2, [(0, 0, 1, 1)])
+    assert sums.dirichlet_average(w, 1) == (2, (0, 0, 1, 1))
+
+
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=6),
        st.sampled_from([F(1, 10), F(1, 100)]))
 @settings(max_examples=60, deadline=None)
@@ -102,7 +149,7 @@ def test_dirichlet_contract(raw, eps):
     assert err < eps
     # minimality under the scan order, by re-scan
     for smaller in range(1, n):
-        cts = sums._round_counts(weights, smaller)
+        cts = _reference_counts(weights, smaller)
         if sum(cts) != smaller or any(k < 0 for k in cts):
             continue
         e2 = sum(abs(w - F(k, smaller)) for w, k in zip(weights, cts))
@@ -119,6 +166,12 @@ def test_dirichlet_scans_need_positive_eps():
     w = [F(1, 3), F(2, 3)]
     with pytest.raises(core.DeltaLabError, match="eps must be positive"):
         sums.dirichlet_average_pair(w, w, 0, n_max=10)
+    with pytest.raises(core.DeltaLabError, match="eps must be positive"):
+        sums.dirichlet_average(w, F(-1, 20))
+    with pytest.raises(core.DeltaLabError, match="weights must sum to 1"):
+        sums.dirichlet_average([F(1, 3), F(1, 3)], F(1, 20))
+    with pytest.raises(core.DeltaLabError, match="weights must be positive"):
+        sums.dirichlet_average_pair(w, [F(3, 2), F(-1, 2)], F(1, 20))
     # the construction checks delta itself before any component family
     x = l1.StepFunction(l1.MeasureModel((("c0", 1, "NONATOMIC"),)), (1,))
     with pytest.raises(core.DeltaLabError, match="needs delta > 0"):
@@ -211,6 +264,48 @@ def test_alpha_record_unavailable_when_undecided():
     res = sums.has_property_alpha(OCTAGON)
     with pytest.raises(sums.InsufficientCertificateError):
         res.record(1, 0)
+
+
+def test_sum_distance_matches_norm_of_difference():
+    model = l1.MeasureModel((("a", F(1, 3), "ATOM"), ("b", F(2, 3), "NONATOMIC")))
+    step = [l1.StepFunction(model, (F(3, 2), F(-3, 4))), l1.StepFunction(model, (0, F(1, 2)))]
+    seqs = [ck.TailSequence((F(1, 2), -1), F(1, 4)), ck.TailSequence((F(-1, 3),), 1)]
+    polys = [T, muntz.MuntzPolynomial(T.ladder, ((1, F(1, 2)), (2, F(-1, 3))))]
+    # l1 and muntz points have no fused distance: SumPoint falls back to the norm
+    assert not hasattr(step[0], "distance") and not hasattr(T, "distance")
+    for xs, ys in ((seqs, seqs), (step, seqs), (polys, seqs), (step, polys)):
+        for norm in (L1N, LINF, HEX, L2N):
+            z, w = sums.SumPoint(xs[0], ys[0], norm), sums.SumPoint(xs[1], ys[1], norm)
+            d = z - w
+            assert z.distance(w) == norm(d.x.norm(), d.y.norm())
+    with pytest.raises(core.DeltaLabError, match="share the norm rule"):
+        sums.SumPoint(ONE, ONE, L1N).distance(sums.SumPoint(ONE, ONE, LINF))
+
+
+def test_far_average_checks_are_exact():
+    # members at distance exactly 2 from the anchor (1/2, 1/2) * ONE; their
+    # average misses the anchor by exactly 1 in c (+)_1 c
+    h, eps, tiny = F(1, 2), F(1, 5), F(1, 10**12)
+    anchor = sums.SumPoint(h * ONE, h * ONE, L1N)
+    a, b = ck.TailSequence((-h,), h), ck.TailSequence((h, -h), h)
+    members = [sums.SumPoint(a, a, L1N), sums.SumPoint(b, b, L1N)]
+    assert sums._verify_far_average(anchor, members, eps, anchor, 1, "test") == (2.0, 1.0)
+    # repeated members are counted by multiplicity: the average is (2a + b)/3
+    twice = [members[0]] + members
+    combo = core.convex_combination(twice, [F(1, 3)] * 3)
+    err = anchor.distance(combo)
+    assert sums._verify_far_average(anchor, twice, eps, anchor, err, "test") == (2.0, float(err))
+    with pytest.raises(core.VerificationError, match="average misses"):
+        sums._verify_far_average(anchor, twice, eps, anchor, err - tiny, "test")
+    # a member moved 1e-12 inside 2 - eps, and an average 1e-12 past the
+    # bound, fail: both sides are exact, so no float slack forgives them
+    moved = ck.TailSequence((-h + eps + tiny,), h)
+    assert anchor.distance(sums.SumPoint(moved, a, L1N)) == 2 - eps - tiny
+    with pytest.raises(core.VerificationError, match="member at distance"):
+        sums._verify_far_average(anchor, members + [sums.SumPoint(moved, a, L1N)],
+                                 eps, anchor, 2, "test")
+    with pytest.raises(core.VerificationError, match="average misses"):
+        sums._verify_far_average(anchor, members, eps, anchor, 1 - tiny, "test")
 
 
 # ---------------------------------------------------------------------------
