@@ -31,6 +31,8 @@ from .core import (
     WitnessRecord,
     cube_slice_vertices,
     mean,
+    num_from_json,
+    num_to_json,
     require_unit,
 )
 from .util import UNIT_TOL, as_fraction, sgn
@@ -226,6 +228,8 @@ class SequenceFunctional(Functional):
     weights: tuple
     limit_coeff: Fraction = Fraction(0)
     variant: Variant = Variant.C
+
+    space = "ck"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(as_fraction(v) for v in self.weights))
@@ -488,3 +492,87 @@ def ball_sampler(prefix_len: int):
         limit = Fraction(rng.randrange(-1000, 1001), 1000)
         return TailSequence(prefix, limit, Variant.C)
     return sample
+
+
+# ---------------------------------------------------------------------------
+# this model's entry of sums.SPACES
+
+decide = is_daugavet_point_ck
+
+
+def point_to_json(p: TailSequence) -> dict:
+    return {"space": "ck", "variant": p.variant.value,
+            "prefix": [num_to_json(v) for v in p.prefix],
+            "limit": None if p.limit is None else num_to_json(p.limit)}
+
+
+def point_from_json(obj) -> TailSequence:
+    variant = Variant(obj.get("variant", "C"))
+    limit = obj.get("limit", 0)
+    return TailSequence(tuple(num_from_json(v) for v in obj["prefix"]),
+                        None if variant is Variant.LINF_N else num_from_json(limit), variant)
+
+
+def functional_to_json(phi: SequenceFunctional) -> dict:
+    return {"space": "ck", "dual": True, "weights": [num_to_json(v) for v in phi.weights],
+            "limit_coeff": num_to_json(phi.limit_coeff), "variant": phi.variant.value}
+
+
+def functional_from_json(obj, model=None) -> SequenceFunctional:
+    return SequenceFunctional(tuple(num_from_json(v) for v in obj["weights"]),
+                              num_from_json(obj.get("limit_coeff", 0)),
+                              Variant(obj.get("variant", "C")))
+
+
+def witness_report(f, eps, params, serialize) -> dict:
+    """`witness`: m far points around --target."""
+    target = serialize.point_from_json(params["target"], default_space="ck")
+    res = daugavet_witness_ck(f, target, eps, int(params.get("m", 8)))
+    return {"members": [point_to_json(m) for m in res.members],
+            "min_distance": num_to_json(res.min_distance),
+            "avg_error": num_to_json(res.avg_error)}
+
+
+def decompose_report(f, params) -> dict:
+    res = convex_dld2p_decompose_ck(f, Fraction(str(params.get("eps", "1/10"))))
+    return {"mu": num_to_json(res.lam), "plus": point_to_json(res.f_plus),
+            "minus": point_to_json(res.f_minus), "tail_index": res.tail_index,
+            "reconstruction_error": num_to_json(res.reconstruction_error)}
+
+
+def crosscheck_setup(x, tol, probes, rng, fresh):
+    """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`:
+    vertices never suffice in a finite truncation, so each target gets
+    shared far cube vertices plus, when x is a Daugavet point, the witness
+    family aimed at it (a subset of the far set only raises distances, so
+    the test stays sound).  Its resolution 2/m for m = `fresh` sets the
+    defaults tol = 1e-2 and fresh = 2/tol + 1 (at least 8); probes default
+    to six random cube vertices and two unit points."""
+    tol = 1e-2 if tol is None else float(tol)
+    theorem, _ = is_daugavet_point_ck(x)
+    if fresh is None:
+        fresh = max(8, int(2 / tol) + 1)
+    if probes is None:
+        width = len(x.prefix) + 1
+        probes = [TailSequence(tuple(Fraction(rng.choice((-1, 1))) for _ in range(width)),
+                               Fraction(rng.choice((-1, 1)))) for _ in range(6)]
+        probes += [random_unit(rng, width) for _ in range(2)]
+
+    def candidates(eps, n_far_vertices=48):
+        width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
+        shared = []
+        for _ in range(n_far_vertices * 6):
+            if len(shared) >= n_far_vertices:
+                break
+            prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(width))
+            v = TailSequence(prefix, Fraction(rng.choice((-1, 1))), Variant.C)
+            if (x - v).norm() >= 2 - eps:
+                shared.append(v)
+
+        def members_for(target):
+            own = list(shared)
+            if theorem:
+                own += list(daugavet_witness_ck(x, target, eps, fresh).members)
+            return own
+        return (x, members_for(x)), [(p, members_for(p)) for p in probes]
+    return tol, theorem, candidates

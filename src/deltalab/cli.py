@@ -21,17 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import ck as ck_mod
 from . import crosscheck as crosscheck_mod
-from . import l1 as l1_mod
 from . import muntz as muntz_mod
 from . import serialize
 from . import sums as sums_mod
-from .core import (
-    CertificationError,
-    DeltaLabError,
-    VerificationError,
-)
+from .core import CertificationError, DeltaLabError, VerificationError
+from .core import num_to_json as _num
+from .sums import space_hook
 from .util import fmt17
 
 
@@ -57,10 +53,6 @@ def _load_arg(raw: str):
     return json.loads(raw)
 
 
-def _num(x):
-    return serialize.num_to_json(x)
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -68,9 +60,8 @@ def _num(x):
 def _cmd_certify(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
-    if space not in sums_mod.SPACES:
-        raise UsageError(f"certify does not know space {space!r}")
-    verdict, cert = sums_mod.SPACES[space][0](point)
+    decide = space_hook(space, "decide", UsageError(f"certify does not know space {space!r}"))
+    verdict, cert = decide(point)
     cert.recheck()
     out = {"space": space, "is_daugavet_point": verdict,
            "certificate": serialize.certificate_to_json(cert)}
@@ -83,65 +74,16 @@ def _cmd_witness(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
     eps = Fraction(str(params["eps"]))
-    if space == "l1":
-        phi = serialize.functional_from_json(params["functional"], model=point.model)
-        res = l1_mod.daugavet_witness_l1(point, phi, eps, Fraction(str(params["delta"])))
-        return [{
-            "space": space,
-            "witness": serialize.point_to_json(res.g),
-            "distance": _num(res.distance),
-            "functional_value": _num(res.functional_value),
-            "witness_cell": res.witness_cell,
-        }]
-    if space == "ck":
-        target = serialize.point_from_json(params["target"], default_space=space)
-        res = ck_mod.daugavet_witness_ck(point, target, eps, int(params.get("m", 8)))
-        return [{
-            "space": space,
-            "members": [serialize.point_to_json(m) for m in res.members],
-            "min_distance": _num(res.min_distance),
-            "avg_error": _num(res.avg_error),
-        }]
-    if space == "muntz":
-        target = serialize.point_from_json(params["target"], default_space=space)
-        res = muntz_mod.daugavet_witness_muntz(
-            point, target, float(params["eps"]), float(params["delta"]))
-        return [{
-            "space": space,
-            "count": res.m,
-            "members": [serialize.point_to_json(m) for m in res.members],
-            "min_distance": _num(res.min_distance),
-            "avg_error_certified": _num(res.avg_error_direct),
-            "avg_error_structural": _num(res.avg_error_structural),
-        }]
-    raise UsageError(f"witness does not know space {space!r}")
+    report = space_hook(space, "witness_report", UsageError(f"witness does not know space {space!r}"))
+    return [{"space": space, **report(point, eps, params, serialize)}]
 
 
 def _cmd_decompose(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
-    if space == "ck":
-        res = ck_mod.convex_dld2p_decompose_ck(point, Fraction(str(params.get("eps", "1/10"))))
-        return [{
-            "space": space,
-            "mu": _num(res.lam),
-            "plus": serialize.point_to_json(res.f_plus),
-            "minus": serialize.point_to_json(res.f_minus),
-            "tail_index": res.tail_index,
-            "reconstruction_error": _num(res.reconstruction_error),
-        }]
-    if space == "muntz":
-        res = muntz_mod.convex_dld2p_decompose_muntz(point, cap=int(params.get("cap", 400)))
-        return [{
-            "space": space,
-            "mu": _num(res.mu),
-            "plus": serialize.point_to_json(res.f_plus),
-            "minus": serialize.point_to_json(res.f_minus),
-            "n": res.n,
-            "norm_plus_hi": _num(res.norm_plus.hi),
-            "norm_minus_hi": _num(res.norm_minus.hi),
-        }]
-    raise UsageError(f"decompose does not know space {space!r}")
+    report = space_hook(space, "decompose_report",
+                        UsageError(f"decompose does not know space {space!r}"))
+    return [{"space": space, **report(point, params)}]
 
 
 def _cmd_sums(params, seed):
@@ -193,8 +135,7 @@ def _cmd_crosscheck(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
     grid = [Fraction(v) for v in str(params.get("eps_grid", "1/10,1/2,1")).split(",")]
-    tol = params.get("tol")
-    tol = float(tol) if tol is not None else None
+    tol = None if params.get("tol") is None else float(params["tol"])
 
     rep = crosscheck_mod.crosscheck_characterizations(point, grid, tol=tol, seed=seed)
     return [{
@@ -269,6 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="deltalab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def spaces(hook):  # the --space choices: the spaces whose model has the hook
+        return tuple(s for s, model in sums_mod.SPACES.items() if hasattr(model, hook))
+
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -276,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--timings", action="store_true")
 
     sp = sub.add_parser("certify", help="decide Daugavet/Delta with a certificate")
-    sp.add_argument("--space", required=True, choices=("l1", "ck", "muntz"))
+    sp.add_argument("--space", required=True, choices=spaces("decide"))
     sp.add_argument("--point", required=True)
     common(sp)
 
     sp = sub.add_parser("witness", help="construct and re-verify a far family")
-    sp.add_argument("--space", required=True, choices=("l1", "ck", "muntz"))
+    sp.add_argument("--space", required=True, choices=spaces("witness_report"))
     sp.add_argument("--point", required=True)
     sp.add_argument("--target", default=None)
     sp.add_argument("--functional", default=None)
@@ -291,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("decompose", help="convex split into Daugavet points")
-    sp.add_argument("--space", required=True, choices=("ck", "muntz"))
+    sp.add_argument("--space", required=True, choices=spaces("decompose_report"))
     sp.add_argument("--point", required=True)
     sp.add_argument("--eps", default="1/10")
     sp.add_argument("--cap", type=int, default=400)
@@ -312,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("crosscheck", help="hull tests vs theorem decision")
-    sp.add_argument("--space", required=True, choices=("l1", "ck"))
+    sp.add_argument("--space", required=True, choices=spaces("crosscheck_setup"))
     sp.add_argument("--point", required=True)
     sp.add_argument("--eps-grid", dest="eps_grid", default="1/10,1/2,1")
     sp.add_argument("--tol", default=None)
@@ -321,13 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    params = {}
-    for key in ("space", "point", "target", "functional", "eps", "delta", "m",
-                "cap", "norm", "check", "dirichlet", "ladder", "terms", "s",
-                "grid", "eps_grid", "tol"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: val for key, val in vars(args).items() if val is not None
+              and key not in ("command", "seed", "format", "out", "timings")}
     for key in ("point", "target", "functional"):
         if key in params:
             params[key] = _load_arg(params[key])
@@ -339,10 +278,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, OSError) as exc:
+    except (UsageError, json.JSONDecodeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     report, code = run(config)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy  # scipy.sparse loads with the first LP matrix
 
 from . import lp
-from .util import UNIT_TOL, as_fraction
+from .util import UNIT_TOL, as_fraction, fmt17
 
 
 class DeltaLabError(Exception):
@@ -63,6 +63,25 @@ def require_unit(point, tol=UNIT_TOL):
     n = point.norm()
     if abs(n - 1) > tol:
         raise DeltaLabError(f"point must have unit norm, got {float(n)!r}")
+
+
+def num_to_json(x):
+    """JSON text of a number: ints stay ints, Fractions "p/q", floats 17 digits."""
+    if isinstance(x, bool) or isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    if isinstance(x, float):
+        return fmt17(x)
+    raise DeltaLabError(f"cannot serialize numeric {type(x).__name__}")
+
+
+def num_from_json(v):
+    if isinstance(v, (int, float)):
+        return Fraction(v)
+    if isinstance(v, str):
+        return Fraction(v) if "/" in v else float(v)
+    raise DeltaLabError(f"cannot parse numeric {v!r}")
 
 
 # ---------------------------------------------------------------------------

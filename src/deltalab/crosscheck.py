@@ -8,16 +8,9 @@ module builds a candidate subset of the far set far_eps(x), then decides
 * the Daugavet test: are all probe ball points within `tol` of that hull,
 
 and compares the aggregate (over the whole eps grid) with the space's
-theorem-based decision.
-
-Candidate sets start from the ball's extreme points of a refined model (for
-the L1 cross-polytope this is exact: the hull of the surviving vertices
-decides both tests with distance exactly zero or a macroscopic gap).  For
-the sequence model a vertex-only proxy is provably insufficient in any
-finite truncation, so the candidates are augmented with witness-generator
-members targeted at x and at each probe, plus random interior far points;
-the achievable hull resolution is then 2/m for m fresh coordinates, which
-is why `tol` is coarser there.  Disagreements are reported, never raised.
+theorem-based decision.  The model's `crosscheck_setup` (see `l1` and `ck`)
+gives that decision, the candidate sets and the defaults of `tol` and the
+probes.  Disagreements are reported, never raised.
 
 Each eps row is one call of `core.hull_distances`: the anchor's LP and every
 probe's that has candidates, stacked into one HiGHS solve while the stack
@@ -32,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import ck as ck_mod
-from . import l1 as l1_mod
 from .core import DeltaLabError, hull_distances, require_unit
+from .sums import space_hook
 from .util import as_fraction
 
 
@@ -65,48 +57,6 @@ class CrosscheckReport:
         raise KeyError(eps)
 
 
-def _l1_candidates(x, eps, probes, rng, extra_interior=4):
-    """One shared candidate set: refined far vertices + interior mixtures."""
-    _, xl, members, lift = l1_mod.far_vertices(x, eps)
-    added = 0
-    for _ in range(extra_interior * 8):
-        if added >= extra_interior or len(members) < 2:
-            break
-        i, j = rng.randrange(len(members)), rng.randrange(len(members))
-        t = Fraction(rng.randrange(1, 1000), 1000)
-        cand = (1 - t) * members[i] + t * members[j]
-        if (xl - cand).norm() >= 2 - eps:
-            members.append(cand)
-            added += 1
-    return (xl, members), [(lift(p), members) for p in probes]
-
-
-def _ck_candidates(x, eps, probes, rng, fresh: int, n_far_vertices=48):
-    """Per-target candidate sets: sampled far cube vertices shared by all,
-    plus (when x is a Daugavet point) the witness family aimed at each
-    target.  Targets with only a subset of the full far set can only see
-    larger distances, so passing the tol test stays sound."""
-    width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
-    shared = []
-    for _ in range(n_far_vertices * 6):
-        if len(shared) >= n_far_vertices:
-            break
-        prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(width))
-        v = ck_mod.TailSequence(prefix, Fraction(rng.choice((-1, 1))), ck_mod.Variant.C)
-        if (x - v).norm() >= 2 - eps:
-            shared.append(v)
-
-    daug = x.variant is not ck_mod.Variant.LINF_N and abs(x.limit) == 1
-
-    def members_for(target):
-        own = list(shared)
-        if daug:
-            own += list(ck_mod.daugavet_witness_ck(x, target, eps, fresh).members)
-        return own
-
-    return (x, members_for(x)), [(p, members_for(p)) for p in probes]
-
-
 def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
                                  seed: int = 0, fresh: Optional[int] = None) -> CrosscheckReport:
     """Compare hull-based far-set tests against the theorem decision.
@@ -122,28 +72,9 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
     if any(e <= 0 for e in eps_grid):
         raise DeltaLabError("crosscheck needs eps > 0")
 
-    if x.space == "l1":
-        tol = 1e-6 if tol is None else float(tol)
-        theorem, _ = l1_mod.is_daugavet_point_l1(x)
-        if probes is None:
-            probes = x.model.ball_vertices()
-            probes += [p for p in (l1_mod.random_unit(x.model, rng) for _ in range(2)) if p]
-        builder = lambda e: _l1_candidates(x, e, probes, rng)
-    elif x.space == "ck":
-        tol = 1e-2 if tol is None else float(tol)
-        theorem, _ = ck_mod.is_daugavet_point_ck(x)
-        if fresh is None:
-            fresh = max(8, int(2 / tol) + 1)
-        if probes is None:
-            width = len(x.prefix) + 1
-            cube = []
-            for _ in range(6):
-                prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(width))
-                cube.append(ck_mod.TailSequence(prefix, Fraction(rng.choice((-1, 1)))))
-            probes = cube + [ck_mod.random_unit(rng, width) for _ in range(2)]
-        builder = lambda e: _ck_candidates(x, e, probes, rng, fresh)
-    else:
-        raise DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)")
+    setup = space_hook(getattr(x, "space", None), "crosscheck_setup",
+                       DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)"))
+    tol, theorem, builder = setup(x, tol, probes, rng, fresh)
 
     rows = []
     for eps in eps_grid:

@@ -30,6 +30,8 @@ from .core import (
     WitnessRecord,
     convex_combination,
     crosspolytope_slice_vertices,
+    num_from_json,
+    num_to_json,
     require_unit,
     slice_diameter,
 )
@@ -237,6 +239,8 @@ class StepFunctional(Functional):
 
     model: MeasureModel
     coeffs: tuple
+
+    space = "l1"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(as_fraction(v) for v in self.coeffs))
@@ -599,3 +603,69 @@ def random_unit(model: MeasureModel, rng, grid=(-2, -1, 0, 1, 2)) -> Optional[St
         if nrm != 0:
             return (Fraction(1) / nrm) * f
     return None
+
+
+# ---------------------------------------------------------------------------
+# this model's entry of sums.SPACES
+
+decide = is_daugavet_point_l1
+
+
+def point_to_json(p: StepFunction) -> dict:
+    return {"space": "l1",
+            "cells": [{"id": c.id, "mass": num_to_json(c.mass), "kind": c.kind.value}
+                      for c in p.model.cells],
+            "values": [num_to_json(v) for v in p.values]}
+
+
+def point_from_json(obj) -> StepFunction:
+    model = MeasureModel(tuple(Cell(c["id"], num_from_json(c["mass"]), CellKind(c["kind"]))
+                               for c in obj["cells"]))
+    return StepFunction(model, tuple(num_from_json(v) for v in obj["values"]))
+
+
+def functional_to_json(phi: StepFunctional) -> dict:
+    return {"space": "l1", "dual": True, "coeffs": [num_to_json(v) for v in phi.coeffs]}
+
+
+def functional_from_json(obj, model=None) -> StepFunctional:
+    if model is None:
+        raise DeltaLabError("l1 functionals need the measure model")
+    return StepFunctional(model, tuple(num_from_json(v) for v in obj["coeffs"]))
+
+
+def witness_report(f, eps, params, serialize) -> dict:
+    """`witness`: the far step function for --functional."""
+    phi = serialize.functional_from_json(params["functional"], model=f.model)
+    res = daugavet_witness_l1(f, phi, eps, Fraction(str(params["delta"])))
+    return {"witness": point_to_json(res.g), "distance": num_to_json(res.distance),
+            "functional_value": num_to_json(res.functional_value),
+            "witness_cell": res.witness_cell}
+
+
+def crosscheck_setup(x, tol, probes, rng, fresh):
+    """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`: all
+    targets share the refined model's far ball vertices and a few interior
+    mixtures.  On the cross-polytope this is exact (distance zero or a
+    macroscopic gap), so tol defaults to 1e-6; probes default to the ball
+    vertices and two random unit points.  `fresh` is unused here."""
+    tol = 1e-6 if tol is None else float(tol)
+    theorem, _ = is_daugavet_point_l1(x)
+    if probes is None:
+        probes = x.model.ball_vertices()
+        probes += [p for p in (random_unit(x.model, rng) for _ in range(2)) if p]
+
+    def candidates(eps, extra_interior=4):
+        _, xl, members, lift = far_vertices(x, eps)
+        added = 0
+        for _ in range(extra_interior * 8):
+            if added >= extra_interior or len(members) < 2:
+                break
+            i, j = rng.randrange(len(members)), rng.randrange(len(members))
+            t = Fraction(rng.randrange(1, 1000), 1000)
+            cand = (1 - t) * members[i] + t * members[j]
+            if (xl - cand).norm() >= 2 - eps:
+                members.append(cand)
+                added += 1
+        return (xl, members), [(lift(p), members) for p in probes]
+    return tol, theorem, candidates

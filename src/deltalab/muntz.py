@@ -33,6 +33,8 @@ from .core import (
     Verdict,
     convex_combination,
     hull_distance_info,
+    num_from_json,
+    num_to_json,
 )
 from .util import UNIT_TOL, as_fraction, sgn
 
@@ -400,6 +402,8 @@ class PointEvaluationFunctional(Functional):
     """
 
     nodes: tuple  # ((u, coeff), ...)
+
+    space = "muntz"
 
     def __post_init__(self):
         object.__setattr__(
@@ -926,3 +930,65 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
             return MuntzDecomposition(mu, f_plus, f_minus, n, float(s), enc_p, enc_m)
     raise CertificationError(
         f"no certified part found for n in [{n0}, {n0 + cap}]; largest tried {n0 + cap}")
+
+
+# ---------------------------------------------------------------------------
+# this model's entry of sums.SPACES
+
+decide = is_daugavet_point_muntz
+
+
+def ladder_to_json(ladder: ExponentLadder) -> dict:
+    if ladder.explicit is not None:
+        return {"explicit": [num_to_json(v) for v in ladder.explicit],
+                "includes_constant": ladder.includes_constant}
+    return {"rule": ladder.name, "includes_constant": ladder.includes_constant}
+
+
+def ladder_from_json(obj) -> ExponentLadder:
+    if "explicit" in obj:
+        return ExponentLadder.from_list([num_from_json(v) for v in obj["explicit"]],
+                                        includes_constant=obj.get("includes_constant", False))
+    if obj.get("rule", "n^2") != "n^2":
+        raise DeltaLabError(f"unknown ladder rule {obj['rule']!r}")
+    if obj.get("includes_constant"):
+        raise DeltaLabError("built-in ladders are constant-free")
+    return ExponentLadder.squares()
+
+
+def point_to_json(p: MuntzPolynomial) -> dict:
+    return {"space": "muntz", "ladder": ladder_to_json(p.ladder),
+            "terms": [[k, num_to_json(c)] for k, c in p.terms]}
+
+
+def point_from_json(obj) -> MuntzPolynomial:
+    ladder = ladder_from_json(obj.get("ladder", {"rule": "n^2"}))
+    return MuntzPolynomial(ladder, tuple((int(k), num_from_json(c)) for k, c in obj["terms"]))
+
+
+def functional_to_json(phi: PointEvaluationFunctional) -> dict:
+    return {"space": "muntz", "dual": True,
+            "nodes": [[num_to_json(u), num_to_json(c)] for u, c in phi.nodes]}
+
+
+def functional_from_json(obj, model=None) -> PointEvaluationFunctional:
+    return PointEvaluationFunctional(
+        tuple((num_from_json(u), num_from_json(c)) for u, c in obj["nodes"]))
+
+
+def witness_report(f, eps, params, serialize) -> dict:
+    """`witness`: the spike family around --target; eps and delta as floats."""
+    target = serialize.point_from_json(params["target"], default_space="muntz")
+    res = daugavet_witness_muntz(f, target, float(params["eps"]), float(params["delta"]))
+    return {"count": res.m, "members": [point_to_json(m) for m in res.members],
+            "min_distance": num_to_json(res.min_distance),
+            "avg_error_certified": num_to_json(res.avg_error_direct),
+            "avg_error_structural": num_to_json(res.avg_error_structural)}
+
+
+def decompose_report(f, params) -> dict:
+    res = convex_dld2p_decompose_muntz(f, cap=int(params.get("cap", 400)))
+    return {"mu": num_to_json(res.mu), "plus": point_to_json(res.f_plus),
+            "minus": point_to_json(res.f_minus), "n": res.n,
+            "norm_plus_hi": num_to_json(res.norm_plus.hi),
+            "norm_minus_hi": num_to_json(res.norm_minus.hi)}

@@ -14,8 +14,10 @@ violation (octahedrality), and an honest UNDECIDED in between.
 from __future__ import annotations
 
 import ast
+import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -466,24 +468,48 @@ def has_property_alpha(norm: AbsoluteNorm, tol=None, grid_n=4096) -> AlphaResult
 # component dispatch
 
 
-# space name -> (Daugavet decision, far family).  The lambdas read the
-# model's module at call time, so a patched module attribute is what runs.
-SPACES = {
-    "l1": (lambda p: l1_mod.is_daugavet_point_l1(p),
-           lambda *args: l1_mod.delta_family(*args)),
-    "ck": (lambda p: ck_mod.is_daugavet_point_ck(p),
-           lambda *args: ck_mod.delta_family(*args)),
-    "muntz": (lambda p: muntz_mod.is_daugavet_point_muntz(p),
-              lambda *args: muntz_mod.delta_family(*args)),
-}
+# space name -> its model's module.  Where they apply, each has `decide`,
+# `delta_family`, the point and functional codecs, `witness_report`,
+# `decompose_report` and `crosscheck_setup`; callers read them at call time.
+SPACES = {"l1": l1_mod, "ck": ck_mod, "muntz": muntz_mod, "sum": sys.modules[__name__]}
 
 
-def _space_of(point):
-    """The (decide, far family) entry of a component point's space."""
-    entry = SPACES.get(getattr(point, "space", None))
-    if entry is None:
-        raise DeltaLabError(f"no Daugavet decision or far family for {type(point).__name__}")
-    return entry
+def space_hook(space, name, error):
+    """The hook `name` of a space's model; `error` is raised where there is none."""
+    hook = getattr(SPACES.get(space) if isinstance(space, str) else None, name, None)
+    if hook is None:
+        raise error
+    return hook
+
+
+def encode_point(p) -> dict:
+    """JSON of a point of any space (`serialize.point_to_json`)."""
+    return space_hook(getattr(p, "space", None), "point_to_json",
+                      DeltaLabError(f"cannot serialize {type(p).__name__}"))(p)
+
+
+def decode_point(obj, default_space=None):
+    """A point of any space from its JSON (`serialize.point_from_json`)."""
+    obj = json.loads(obj) if isinstance(obj, str) else obj
+    space = obj.get("space", default_space)
+    return space_hook(space, "point_from_json", DeltaLabError(f"unknown space {space!r}"))(obj)
+
+
+def point_to_json(p: SumPoint) -> dict:
+    return {"space": "sum", "norm": p.norm_rule.name(),
+            "x": encode_point(p.x), "y": encode_point(p.y)}
+
+
+def point_from_json(obj) -> SumPoint:
+    norm = AbsoluteNorm.parse(obj["norm"])
+    return SumPoint(decode_point(obj["x"]), decode_point(obj["y"]), norm)
+
+
+def _component_hooks(point):
+    """(decide, delta_family) of a component point's model."""
+    error = DeltaLabError(f"no Daugavet decision or far family for {type(point).__name__}")
+    space = getattr(point, "space", None)
+    return space_hook(space, "decide", error), space_hook(space, "delta_family", error)
 
 
 def _scaled_family(anchor, target_component, scale, eps_comp, gamma, fam):
@@ -583,7 +609,7 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
         raise DeltaLabError("sum_daugavet_construct needs delta > 0")
     if not verify_octahedral_witness(norm, a, b):
         raise DeltaLabError("(a, b) is not an octahedral witness for this norm")
-    (decide_x, fam_x), (decide_y, fam_y) = _space_of(x), _space_of(y)
+    (decide_x, fam_x), (decide_y, fam_y) = _component_hooks(x), _component_hooks(y)
     if not (decide_x(x)[0] and decide_y(y)[0]):
         raise DeltaLabError("both components must be Daugavet points")
     require_unit(x)
@@ -658,16 +684,9 @@ def sum_delta_lift(x, y, norm: AbsoluteNorm, a, b, eps, gamma) -> LiftResult:
     require_unit(y)
 
     gam = as_fraction(gamma) / 2
-    if a == 0:
-        parts_x, anchor_x = [(0 * x, Fraction(1))], x
-    else:
-        members, weights, anchor_x, _ = _space_of(x)[1](x, x, eps, gam)
-        parts_x = list(zip(_scale_all(members, a), weights))
-    if b == 0:
-        parts_y, anchor_y = [(0 * y, Fraction(1))], y
-    else:
-        members, weights, anchor_y, _ = _space_of(y)[1](y, y, eps, gam)
-        parts_y = list(zip(_scale_all(members, b), weights))
+    # each component's far family aimed at the component itself, scaled
+    parts_x, anchor_x, _ = _scaled_family(x, a * x, a, eps, gam, _component_hooks(x)[1])
+    parts_y, anchor_y, _ = _scaled_family(y, b * y, b, eps, gam, _component_hooks(y)[1])
 
     n, xs, ys = _equal_counts(parts_x, parts_y, gam)
     members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]

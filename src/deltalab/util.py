@@ -37,7 +37,3 @@ def sgn(x) -> int:
 def fmt17(x) -> str:
     """Format a real with 17 significant digits (exact float round-trip)."""
     return f"{float(x):.17g}"
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

@@ -65,6 +65,35 @@ def test_functional_round_trips():
     assert back == phi
     mu = ck.SequenceFunctional((F(1, 2),), F(1, 2))
     assert serialize.functional_from_json(serialize.functional_to_json(mu)) == mu
+    ev = muntz.PointEvaluationFunctional(((0.0, F(1)), (0.25, F(-1, 3))))
+    assert serialize.functional_from_json(serialize.functional_to_json(ev)) == ev
+
+
+def test_unknown_space_in_json_exits_one(capsys):
+    code, out = run_cli(["certify", "--space", "ck", "--point", '{"space":"xx","prefix":[]}'],
+                        capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "DeltaLabError: unknown space 'xx'"
+    code, out = run_cli(
+        ["witness", "--space", "l1", "--point", L1_ONE,
+         "--functional", '{"space":"xx","coeffs":["1"]}', "--eps", "1/2"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "DeltaLabError: unknown functional space 'xx'"
+
+
+def test_space_choices_come_from_the_table():
+    """Each command offers the spaces whose model has its hook, in table order."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    hooks = {"certify": "decide", "witness": "witness_report",
+             "decompose": "decompose_report", "crosscheck": "crosscheck_setup"}
+    choices = {}
+    for command, hook in hooks.items():
+        (space,) = [a for a in sub.choices[command]._actions if a.dest == "space"]
+        choices[command] = space.choices
+        assert space.choices == tuple(
+            name for name, model in sums.SPACES.items() if hasattr(model, hook))
+    assert choices == {"certify": ("l1", "ck", "muntz"), "witness": ("l1", "ck", "muntz"),
+                       "decompose": ("ck", "muntz"), "crosscheck": ("l1", "ck")}
 
 
 def test_numbers_are_text_with_17_digits():

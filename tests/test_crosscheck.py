@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from deltalab import ck, crosscheck, l1
+from deltalab.core import DeltaLabError
 
 GRID = [F(1, 10), F(1, 2), F(1)]
 
@@ -87,5 +88,5 @@ def test_ck_random_points_agree():
 def test_muntz_points_rejected():
     from deltalab import muntz
     t = muntz.MuntzPolynomial(muntz.ExponentLadder.squares(), ((1, 1),))
-    with pytest.raises(Exception):
+    with pytest.raises(DeltaLabError, match=r"crosscheck needs a polyhedral model \(l1 or ck\)"):
         crosscheck.crosscheck_characterizations(t, GRID)

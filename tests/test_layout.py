@@ -1,0 +1,80 @@
+"""Only the space models branch on a space.
+
+Which spaces exist, and what their JSON, reports and crosscheck set-up look
+like, is known to the model modules `l1`, `ck`, `muntz` and `sums` alone;
+everyone else goes through the table `sums.SPACES`.  This parses every
+other module and flags an `isinstance` test against a payload or
+functional class, and any comparison with a space name.  Core types such
+as `Rank1Operator` may be tested anywhere.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import deltalab
+
+MODELS = {"l1.py", "ck.py", "muntz.py", "sums.py"}
+PAYLOAD_CLASSES = {"StepFunction", "TailSequence", "MuntzPolynomial", "SumPoint",
+                   "StepFunctional", "SequenceFunctional", "PointEvaluationFunctional"}
+SPACE_NAMES = {"l1", "ck", "muntz", "sum"}
+OTHERS = sorted(p for p in Path(deltalab.__file__).parent.glob("*.py") if p.name not in MODELS)
+
+
+def _names(node):
+    """Class names in an isinstance class argument (a name, an attribute or a tuple)."""
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def _space_literals(node):
+    """Space names among the string constants of a comparison operand."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return {s for elt in node.elts for s in _space_literals(elt)}
+    if isinstance(node, ast.Constant) and node.value in SPACE_NAMES:
+        return {node.value}
+    return set()
+
+
+def space_branches(source):
+    """`line N: ...` for each isinstance on a payload class and each
+    comparison with a space name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            for name in sorted(_names(node.args[1]) & PAYLOAD_CLASSES):
+                found.append(f"line {node.lineno}: isinstance on {name}")
+        elif isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                for name in sorted(_space_literals(operand)):
+                    found.append(f"line {node.lineno}: compares with {name!r}")
+    return found
+
+
+@pytest.mark.parametrize("path", OTHERS, ids=lambda p: p.name)
+def test_only_the_models_branch_on_a_space(path):
+    assert space_branches(path.read_text(encoding="utf-8")) == []
+
+
+def test_layout_check_flags_a_branch():
+    source = ("def f(p, phi, space):\n"
+              "    if isinstance(p, l1_mod.StepFunction):\n"
+              "        return 1\n"
+              "    if isinstance(phi, (Rank1Operator, SequenceFunctional)):\n"
+              "        return 2\n"
+              "    if space == 'muntz' or space in ('ck', 'other'):\n"
+              "        return 3\n"
+              "    return isinstance(p, Rank1Operator) or space == 'summit'\n")
+    assert space_branches(source) == [
+        "line 2: isinstance on StepFunction",
+        "line 4: isinstance on SequenceFunctional",
+        "line 6: compares with 'muntz'",
+        "line 6: compares with 'ck'",
+    ]
