@@ -635,7 +635,7 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
             zp = (1 / r) * target
             branches = [(zp, (1 + r) / 2), (-zp, (1 - r) / 2)]
 
-        parts_x, parts_y, tx, ty = [], [], [], []
+        parts, tx, ty = [], [], []
         anchor_x, anchor_y = x, y
         for branch, bw in branches:
             su, sv = branch.x.norm(), branch.y.norm()
@@ -643,18 +643,16 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
             tx.append(t)
             by, anchor_y, t = _scaled_family(y, branch.y, sv, eps_comp, gamma, fam_y)
             ty.append(t)
-            # equalize the branch pair before merging across branches
+            # pair the branch families into sum members of equal weight
             n, xs, ys = _equal_counts(bx, by, gamma)
-            w = bw / n
-            parts_x += [(m, w) for m in xs]
-            parts_y += [(m, w) for m in ys]
+            parts += [(SumPoint(px, py, norm), bw / n) for px, py in zip(xs, ys)]
 
-        # pair the merged families into equal-count sum members and re-verify
+        # merge the branches into equal-count sum members and re-verify
         bws = [bw for _, bw in branches]
         target_check = SumPoint(convex_combination(tx, bws),
                                 convex_combination(ty, bws), norm)
-        n, xs, ys = _equal_counts(parts_x, parts_y, gamma)
-        members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
+        n, counts = dirichlet_average([w for _, w in parts], gamma)
+        members = [m for (m, _), k in zip(parts, counts) for _ in range(k)]
         anchor = SumPoint(a * anchor_x, b * anchor_y, norm)
         dmin, err = _verify_far_average(anchor, members, eps, target_check, delta,
                                         "constructed")
