@@ -390,21 +390,11 @@ def _hull_distance_exchange(target, points, tol, max_rounds):
         nodes.append(enc.at_u)
     nodes = sorted(set(nodes))
 
-    lam = None
     for rounds in range(1, max_rounds + 1):
-        cols = k + 1
-        A_ub, b_ub = [], []
-        for u in nodes:
-            tv = target.eval_u(u)
-            pv = [p.eval_u(u) for p in points]
-            A_ub.append([v for v in pv] + [-1.0])
-            b_ub.append(tv)
-            A_ub.append([-v for v in pv] + [-1.0])
-            b_ub.append(-tv)
-        cost = [0.0] * k + [1.0]
-        lower, z = lp.linprog_mixed(
-            cost, A_ub=A_ub, b_ub=b_ub, A_eq=[[1.0] * k + [0.0]], b_eq=[1.0],
-            bounds=[(0, None)] * k + [(None, None)])
+        # min t with |target(u) - sum lam p(u)| <= t on the nodes, sum lam = 1
+        values = [[q.eval_u(u) for u in nodes] for q in (target, *points)]
+        a, b, (cost,) = hull_norm_lp(k, [("winf", None, values)])
+        lower, z = lp.simplex_float(cost, a, b)
         lam = z[:k]
         residual = target - convex_combination(points, [float(v) for v in lam])
         enc = residual.sup_enclosure(max(tol * 0.25, 1e-13))

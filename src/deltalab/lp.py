@@ -4,13 +4,16 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
 
 * ``simplex_exact`` -- a two-phase tableau simplex over ``Fraction`` entries
   with Bland's smallest-index pivot rule (deterministic, anticycling).  Its
-  only caller is ``core.hull_distance_info``, which solves every polyhedral
-  hull LP with it.
+  only caller is ``core.hull_distance_info`` on polyhedral payloads, which
+  only the public ``hull_distance[_info]`` reach.
 * ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
-  dense or scipy-sparse (``core.hull_distances`` passes block-diagonal
-  stacks of small hull LPs, ``sums.hull_lower_bound_scalarized`` one LP).
+  dense or scipy-sparse.  ``core.hull_distances`` passes block-diagonal
+  stacks of small hull LPs (every crosscheck distance), and
+  ``sums.hull_lower_bound_scalarized`` and the Muntz master LP of
+  ``core._hull_distance_exchange`` one LP each.
 
 The hull LPs that feed both come from ``core.hull_norm_rows``.
+``linprog_mixed`` keeps one caller, ``muntz.bernstein_estimate``.
 """
 
 from __future__ import annotations

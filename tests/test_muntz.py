@@ -332,6 +332,15 @@ def test_separation_example():
     assert rep.hull_lower > 0.02
 
 
+def test_hull_distance_closed_form():
+    # the master LP brackets sup |t - t^4| = (3/4) 4^(-1/3) from both sides
+    tol = 1e-9
+    res = core.hull_distance_info(T, [poly((2, 1))], tol=tol)
+    assert res.lower <= T_MINUS_T4_NORM <= res.value
+    assert res.value - res.lower <= tol
+    assert res.weights == pytest.approx((1.0,))
+
+
 def test_separation_threshold_enforced():
     f = normalized(T_MINUS_T4)
     with pytest.raises(core.DeltaLabError):
