@@ -258,20 +258,18 @@ def _integer_weights(weights):
 
 def _round_counts(a, d, n):
     """Largest-remainder counts k_i of n a_i / d: round half up, then move
-    the surplus or deficit one unit per index, largest remainder first (ties
-    to the lower index), passing over zero counts when taking away.  As
-    every a_i > 0 and sum a_i = d, one pass settles it and sum k_i = n."""
+    one unit per index until sum k_i = n.  A deficit goes to the largest
+    n a_i - k_i d first, a surplus comes from the largest k_i d - n a_i
+    first, ties to the lower index.  Rounding half up leaves every
+    |n a_i - k_i d| <= d/2, so at least twice as many indices as the units
+    to move lean the right way, and a surplus is taken from counts >= 1."""
     k = [(2 * n * ai + d) // (2 * d) for ai in a]
     diff = n - sum(k)
     if diff == 0:
         return k
     step = 1 if diff > 0 else -1
-    for i in sorted(range(len(a)), key=lambda i: (k[i] * d - n * a[i], i)):
-        if diff == 0:
-            break
-        if diff > 0 or k[i] > 0:
-            k[i] += step
-            diff -= step
+    for i in sorted(range(len(a)), key=lambda i: (step * (k[i] * d - n * a[i]), i))[:abs(diff)]:
+        k[i] += step
     return k
 
 

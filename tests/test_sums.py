@@ -92,11 +92,13 @@ def test_dirichlet_examples():
 
 def _reference_counts(w, n):
     """Largest-remainder counts of n w in plain Fractions: round half up,
-    then move the surplus or deficit along the remainders, largest first and
-    ties to the lower index, at most four times around."""
+    then move the deficit or surplus, at most four times around: a deficit
+    to the largest n w_i - k_i first, a surplus from the largest k_i - n w_i
+    first, ties to the lower index."""
     base = [math.floor(n * wi + F(1, 2)) for wi in w]
     diff = n - sum(base)
-    order = sorted(range(len(w)), key=lambda i: (base[i] - n * w[i], i))
+    sign = 1 if diff > 0 else -1
+    order = sorted(range(len(w)), key=lambda i: (sign * (base[i] - n * w[i]), i))
     j = 0
     while diff != 0 and j < 4 * len(w):
         i = order[j % len(w)]
@@ -131,10 +133,20 @@ def test_integer_scan_matches_fraction_reference():
             vectors.append([F(r, sum(raw)) for r in raw])
         eps = rng.choice((F(1), F(1, 2), F(1, 7), F(1, 30), F(1, 120)))
         assert sums._dirichlet_scan(vectors, eps, 100_000) == _reference_scan(vectors, eps)
-    # n = 2 rounds half up to (0, 1, 1, 1); the deficit passes over the zero count
+    # n = 2 rounds half up to (0, 1, 1, 1); the surplus comes from a rounded-up count
     w = [F(1, 10), F(3, 10), F(3, 10), F(3, 10)]
     assert _reference_scan([w], 1) == (2, [(0, 0, 1, 1)])
     assert sums.dirichlet_average(w, 1) == (2, (0, 0, 1, 1))
+
+
+def test_surplus_comes_from_the_counts_rounded_up():
+    # n = 3 rounds (1.3, 0.5, 0.5, 0.7) half up to (1, 1, 1, 1).  The surplus
+    # unit comes from index 1, the first of the largest k_i - n w_i, which
+    # leaves an l1 error of 8/15 < 3/5; taking it from the rounded-down
+    # index 0 left 13/15 and pushed the scan on to n = 4.
+    w = [F(13, 30), F(1, 6), F(1, 6), F(7, 30)]
+    assert sums.dirichlet_average(w, F(3, 5)) == (3, (1, 0, 1, 1))
+    assert _reference_scan([w], F(3, 5)) == (3, [(1, 0, 1, 1)])
 
 
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=6),
