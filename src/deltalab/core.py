@@ -289,28 +289,26 @@ def hull_norm_lp(k, embeddings):
     return block.matrix(), block.rhs, np.asarray(costs, dtype=float)
 
 
-def _hull_lp(target, points):
-    """The hull-distance LP as an exact `_Block` and k, its hull weights
-    being columns 0..k-1; None for payloads without a polyhedral embedding."""
+def _hull_embedding(target, points):
+    """`hull_embedding` of [target, *points] after the nonempty and
+    same-space checks; None for payloads without a polyhedral embedding."""
     if not points:
         raise DeltaLabError("hull_distance needs a nonempty point list")
     spaces = {p.space for p in points} | {target.space}
     if len(spaces) != 1:
         raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
     embed = getattr(type(target), "hull_embedding", None)
-    if embed is None:
-        return None
-    row, col, val, rhs, [cost] = hull_norm_rows(len(points), [embed([target, *points])])
-    return _Block(cost, row, col, val, rhs), len(points)
+    return None if embed is None else embed([target, *points])
 
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
 # stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
-# crosscheck LP has at most 150 nonzeros and an eps row at most 1,650; a ck
-# LP with a witness family (`cli_requests`) has about 52k.  Stacking every
-# LP of a row instead raised the peak RSS of `cli_requests` from 108 to
-# 197 MB (2-core VM, zeros dropped).  So 20k stacks a whole L1 eps row and
-# leaves each large ck LP a solve of its own.
+# crosscheck LP has at most 150 nonzeros and a whole crosscheck (three eps
+# rows) at most 2,706; a ck LP with a witness family (`cli_requests`) has
+# about 52k.  Stacking every LP of an eps row with no cap raised the peak
+# RSS of `cli_requests` from 108 to 197 MB (2-core VM, zeros dropped).  So
+# 20k stacks a whole L1 crosscheck and leaves each large ck LP a solve of its
+# own.
 _STACK_NNZ = 20_000
 
 
@@ -337,13 +335,23 @@ def hull_distances(tasks):
     points) task, in order.
 
     Consecutive tasks share one HiGHS solve of their block-diagonal stack
-    while it stays within _STACK_NNZ nonzeros; a larger LP runs alone."""
-    out, stack, nnz = [], [], 0
+    while it stays within _STACK_NNZ nonzeros; a larger LP runs alone.  A
+    task whose `points` is the very list of the task before, embedded at the
+    same length, reuses that task's float block with the new target's rhs:
+    an embedded vector depends only on its point and the length."""
+    out, stack, nnz, last = [], [], 0, None
     for target, points in tasks:
-        form = _hull_lp(target, points)
-        if form is None:
+        embedding = _hull_embedding(target, points)
+        if embedding is None:
             raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
-        block = form[0].to_float()
+        kind, weights, (values, *_) = embedding
+        if last is not None and last[0] is points and last[1] == len(values):
+            rhs = hull_norm_rows(0, [(kind, weights, [values])])[3]
+            block = last[2]._replace(rhs=np.asarray(rhs, dtype=float))
+        else:
+            row, col, val, rhs, [cost] = hull_norm_rows(len(points), [embedding])
+            block = _Block(cost, row, col, val, rhs).to_float()
+        last = points, len(values), block
         if stack and nnz + len(block.val) > _STACK_NNZ:
             out += _solve_blocks(stack)
             stack, nnz = [], 0
@@ -364,14 +372,15 @@ def hull_distance_info(target, points, tol=1e-9, max_rounds=200):
     achieved residual gives an upper bound, and nodes are added until the
     gap is at most `tol`.
     """
-    form = _hull_lp(target, points)
-    if form is None:
+    embedding = _hull_embedding(target, points)
+    if embedding is None:
         return _hull_distance_exchange(target, points, tol, max_rounds)
-    block, k = form
-    rows = [[0] * len(block.cost) for _ in block.rhs]
-    for r, c, v in zip(block.row, block.col, block.val):
+    k = len(points)
+    row, col, val, rhs, [cost] = hull_norm_rows(k, [embedding])
+    rows = [[0] * len(cost) for _ in rhs]
+    for r, c, v in zip(row, col, val):
         rows[r][c] = v
-    value, z = lp.simplex_exact(block.cost, rows, block.rhs)
+    value, z = lp.simplex_exact(cost, rows, rhs)
     return HullResult(value=value, lower=value, upper=value, weights=tuple(z[:k]),
                       iterations=1)
 

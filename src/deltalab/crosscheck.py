@@ -12,10 +12,13 @@ theorem-based decision.  The model's `crosscheck_setup` (see `l1` and `ck`)
 gives that decision, the candidate sets and the defaults of `tol` and the
 probes.  Disagreements are reported, never raised.
 
-Each eps row is one call of `core.hull_distances`: the anchor's LP and every
-probe's that has candidates, stacked into one HiGHS solve while the stack
-stays small; a large LP (a ck witness family) gets a solve of its own.
-Distances are HiGHS floats, so the verdicts are not exact.
+The candidate sets of every eps row are built first, then the whole grid is
+one call of `core.hull_distances`: per row, the anchor's LP and every
+probe's that has candidates.  Small LPs are stacked into one HiGHS solve (a
+whole L1 crosscheck is one solve), a large LP (a ck witness family) gets a
+solve of its own, and the LPs over one member list (every LP of an L1 row)
+share one float matrix.  Distances are HiGHS floats, so the verdicts are not
+exact.
 """
 
 from __future__ import annotations
@@ -76,15 +79,20 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
                        DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)"))
     tol, theorem, builder = setup(x, tol, probes, rng, fresh)
 
+    # every row's candidates first, in grid order (only the builder draws
+    # from rng), then one batch: per row with anchor members, the anchor and
+    # every probe with members
+    built = [(eps, *builder(eps)) for eps in eps_grid]
+    tasks = []
+    for _, anchor_task, probe_tasks in built:
+        if anchor_task[1]:
+            tasks += [anchor_task] + [(p, m) for p, m in probe_tasks if m]
+    dists = iter(hull_distances(tasks))
     rows = []
-    for eps in eps_grid:
-        (anchor, anchor_members), probe_tasks = builder(eps)
+    for eps, (anchor, anchor_members), probe_tasks in built:
         if not anchor_members:
             rows.append(CrosscheckRow(eps, 0, float("inf"), (), False, False))
             continue
-        # the whole row in one batch: the anchor, then every probe with members
-        dists = iter(hull_distances(
-            [(anchor, anchor_members)] + [(p, m) for p, m in probe_tasks if m]))
         d_delta = next(dists)
         d_probes = tuple(next(dists) if m else float("inf") for _, m in probe_tasks)
         delta_ok = d_delta <= tol

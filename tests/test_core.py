@@ -142,13 +142,43 @@ def test_hull_distances_need_polyhedral_points():
         core.hull_distances([(T, [T])])
 
 
-def test_l1_crosscheck_solves_once_per_eps_row(float_solves):
+def test_l1_crosscheck_solves_once_per_crosscheck(float_solves):
     model = l1.MeasureModel((("a", F(1, 2), "NONATOMIC"), ("b", F(1, 4), "ATOM"),
                              ("c", F(1, 4), "NONATOMIC")))
     grid = [F(1, 10), F(1, 2), F(1)]
     rep = crosscheck.crosscheck_characterizations(sf(model, 1, 1, -1), grid, seed=7)
     assert all(r.n_candidates for r in rep.rows)
-    assert len(float_solves) == len(grid)
+    assert len(float_solves) == 1
+
+
+def test_hull_distances_reuse_a_shared_point_list(monkeypatch):
+    # tasks on one list reuse its block; fresh copies of the list rebuild it
+    builds = []
+    rows = core.hull_norm_rows
+    monkeypatch.setattr(core, "hull_norm_rows", lambda k, e: builds.append(k) or rows(k, e))
+    for target, points in hull_tasks(4):
+        targets = [target, *points, -target, F(1, 2) * target]
+        builds.clear()
+        shared = core.hull_distances([(t, points) for t in targets])
+        if target.space == "l1":
+            assert builds.count(len(points)) == 1
+        fresh = core.hull_distances([(t, list(points)) for t in targets])
+        assert shared == pytest.approx(fresh, abs=1e-12)
+    # a ck target longer than the shared points changes the embedding length
+    points = [ck.TailSequence((1,), 1), ck.TailSequence((1,), -1)]
+    targets = [ck.TailSequence((1,), 0), ck.TailSequence((1, 1, -1), 0),
+               ck.TailSequence((), F(1, 2))]
+    shared = core.hull_distances([(t, points) for t in targets])
+    assert shared == pytest.approx([core.hull_distance(t, points) for t in targets], abs=1e-9)
+
+
+def test_hull_distances_check_every_target_of_a_shared_list():
+    points = [sf(M2, 1, 0), sf(M2, 0, -1)]
+    other = atoms(1, 2)
+    with pytest.raises(core.DeltaLabError, match="share a model"):
+        core.hull_distances([(sf(M2, 0, 0), points), (sf(other, 0, 0), points)])
+    with pytest.raises(core.MixedSpaceError):
+        core.hull_distances([(sf(M2, 0, 0), points), (ck.TailSequence((1,), 0), points)])
 
 
 # ---------------------------------------------------------------------------
