@@ -90,15 +90,15 @@ class MeasureModel:
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
+    def vertex(self, i, s):
+        """The ball vertex s * indicator / mass of cell i, s = +-1."""
+        vals = [Fraction(0)] * len(self.cells)
+        vals[i] = Fraction(s) / self.cells[i].mass
+        return StepFunction(self, tuple(vals))
+
     def ball_vertices(self):
         """Extreme points of the unit ball: +-(indicator / mass) per cell."""
-        out = []
-        for i, c in enumerate(self.cells):
-            for s in (1, -1):
-                vals = [Fraction(0)] * len(self.cells)
-                vals[i] = Fraction(s) / c.mass
-                out.append(StepFunction(self, tuple(vals)))
-        return out
+        return [self.vertex(i, s) for i in range(len(self.cells)) for s in (1, -1)]
 
 
 @dataclass(frozen=True)
@@ -397,12 +397,7 @@ def daugavet_witness_l1(f: StepFunction, x0star: StepFunctional, eps, delta,
             model = res.model
             witness_id = f"{witness_id}.0"
 
-    j = model.index(witness_id)
-    wcell = model.cells[j]
-    sign = sgn(x0star.coeffs[i]) or 1
-    gvals = [Fraction(0)] * len(model.cells)
-    gvals[j] = Fraction(sign) / wcell.mass
-    g = StepFunction(model, tuple(gvals))
+    g = model.vertex(model.index(witness_id), sgn(x0star.coeffs[i]) or 1)
 
     dist = (fl - g).norm()
     value = xl(g)
@@ -487,10 +482,11 @@ def far_vertices(f: StepFunction, eps):
     """
     eps = as_fraction(eps)
     model, fl, lift = _refine_for_eps(f, eps)
-    members = []
-    for v in model.ball_vertices():
-        if (fl - v).norm() >= 2 - eps:
-            members.append(v)
+    # ||fl - s chi_c / m_c|| = ||fl|| - |fl_c| m_c + |fl_c m_c - s|
+    norm, members = fl.norm(), []
+    for i, (v, cell) in enumerate(zip(fl.values, model.cells)):
+        w = v * cell.mass
+        members += [model.vertex(i, s) for s in (1, -1) if norm - abs(w) + abs(w - s) >= 2 - eps]
     return model, fl, members, lift
 
 
@@ -520,10 +516,7 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
         tv = tgt.values[j]
         if tv == 0:
             continue
-        vals = [Fraction(0)] * len(model.cells)
-        vals[j] = Fraction(sgn(tv)) / cell.mass
-        member = StepFunction(model, tuple(vals))
-        members.append(member)
+        members.append(model.vertex(j, sgn(tv)))
         weights.append(abs(tv) * cell.mass)
 
     deficit = 1 - sum(weights, Fraction(0))
@@ -532,9 +525,7 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
         if pad is None:
             pad = next(j for j, c in enumerate(model.cells)
                        if c.kind is CellKind.NONATOMIC)
-        vals = [Fraction(0)] * len(model.cells)
-        vals[pad] = Fraction(1) / model.cells[pad].mass
-        plus = StepFunction(model, tuple(vals))
+        plus = model.vertex(pad, 1)
         members += [plus, -plus]
         weights += [deficit / 2, deficit / 2]
 

@@ -261,3 +261,19 @@ def test_delta_family_reconstructs_targets(fvals, gvals, eps):
     assert (combo - tgt).norm() == 0
     for mem in members:
         assert (fl - mem).norm() >= 2 - eps
+
+
+@pytest.mark.parametrize("eps", [F(1, 1000), F(1, 10), F(1, 2), F(1), F(2)])
+def test_far_vertices_are_the_far_ball_vertices(eps):
+    # the closed form against full norms of differences.  A nonatomic cell
+    # carries f-mass k eps / 2 for |k| <= 3, so it splits into at most three
+    # pieces and the brute force stays small at every eps.
+    rng = random.Random(5)
+    for _ in range(12):
+        spec = [(F(rng.randint(1, 6), 4), rng.choice(("ATOM", "NONATOMIC")))
+                for _ in range(rng.randint(1, 5))]
+        vals = [F(rng.randint(-2, 2), 2) if kind == "ATOM"
+                else rng.randint(-3, 3) * eps / (2 * mass) for mass, kind in spec]
+        f = l1.StepFunction(model(*spec), tuple(vals))
+        refined, fl, members, _ = l1.far_vertices(f, eps)
+        assert members == [v for v in refined.ball_vertices() if (fl - v).norm() >= 2 - eps]
