@@ -977,9 +977,10 @@ def functional_from_json(obj, model=None) -> PointEvaluationFunctional:
 
 
 def witness_report(f, eps, params, serialize) -> dict:
-    """`witness`: the spike family around --target; eps and delta as floats."""
+    """`witness`: the spike family around --target; eps and delta, given as
+    decimals or "p/q", are rounded to floats."""
     target = serialize.point_from_json(params["target"], default_space="muntz")
-    res = daugavet_witness_muntz(f, target, float(params["eps"]), float(params["delta"]))
+    res = daugavet_witness_muntz(f, target, float(eps), float(Fraction(str(params["delta"]))))
     return {"count": res.m, "members": [point_to_json(m) for m in res.members],
             "min_distance": num_to_json(res.min_distance),
             "avg_error_certified": num_to_json(res.avg_error_direct),

@@ -175,6 +175,19 @@ def test_witness_l1(capsys):
     assert res["witness_cell"] == "a.0.0.0"
 
 
+def test_witness_muntz_takes_fractions(capsys):
+    # eps and delta as "p/q" give the report of their decimal spellings
+    argv = ["witness", "--space", "muntz", "--point", '{"terms":[[1,"1"]]}',
+            "--target", '{"terms":[[2,"-1/2"]]}']
+    code, out = run_cli(argv + ["--eps", "1/2", "--delta", "3/20"], capsys)
+    assert code == 0
+    res = json.loads(out)["results"][0]
+    assert res["count"] > 0
+    code, out = run_cli(argv + ["--eps", "0.5", "--delta", "0.15"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0] == res
+
+
 def test_bernstein_command(capsys):
     code, out = run_cli(
         ["bernstein", "--terms", "1", "--s", "0.5", "--grid", "32"], capsys)
