@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -122,10 +123,11 @@ def _cmd_sums(params, seed):
 
 def _cmd_bernstein(params, seed):
     ladder = serialize.parse_ladder_spec(params.get("ladder", "n^2"))
+    s = float(Fraction(str(params["s"])))
     res = muntz_mod.bernstein_estimate(
-        ladder, int(params["terms"]), float(params["s"]), int(params.get("grid", 128)))
+        ladder, int(params["terms"]), s, int(params.get("grid", 128)))
     return [{
-        "terms": int(params["terms"]), "s": _num(float(params["s"])),
+        "terms": int(params["terms"]), "s": _num(s),
         "lower_bound": _num(res.lower_bound), "grid_value": _num(res.grid_value),
         "at": _num(res.at), "norm_hi": _num(res.norm_hi),
     }]
@@ -135,7 +137,7 @@ def _cmd_crosscheck(params, seed):
     space = params["space"]
     point = serialize.point_from_json(params["point"], default_space=space)
     grid = [Fraction(v) for v in str(params.get("eps_grid", "1/10,1/2,1")).split(",")]
-    tol = None if params.get("tol") is None else float(params["tol"])
+    tol = None if params.get("tol") is None else float(Fraction(str(params["tol"])))
 
     rep = crosscheck_mod.crosscheck_characterizations(point, grid, tol=tol, seed=seed)
     return [{
@@ -206,6 +208,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process, built by the first call
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="deltalab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -204,6 +204,22 @@ def test_crosscheck_command(capsys):
     assert json.loads(out)["results"][0]["agree"] is True
 
 
+def test_bernstein_takes_a_fraction_s(capsys):
+    argv = ["bernstein", "--terms", "3", "--grid", "16", "--s"]
+    code, out = run_cli(argv + ["1/2"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["s"] == "0.5"
+    assert run_cli(argv + ["0.5"], capsys) == (0, out)
+
+
+def test_crosscheck_takes_a_fraction_tol(capsys):
+    argv = ["crosscheck", "--space", "l1", "--point", L1_ONE, "--tol"]
+    code, out = run_cli(argv + ["1/100"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["agree"] is True
+    assert run_cli(argv + ["0.01"], capsys) == (0, out)
+
+
 # ---------------------------------------------------------------------------
 # determinism and exit codes
 
@@ -370,6 +386,40 @@ def test_readme_example_report_is_golden(index, argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert out == (GOLDEN / f"readme-{index}-{argv[0]}.json").read_text(encoding="utf-8")
+
+
+def test_one_parser_serves_every_request(capsys):
+    # the cached parser keeps no state between requests: two rounds of the
+    # README examples around a usage error and a csv report stay golden
+    cli.build_parser.cache_clear()
+    golden = [(GOLDEN / f"readme-{i}-{argv[0]}.json").read_text(encoding="utf-8")
+              for i, argv in enumerate(readme_examples(), 1)]
+    for round_ in range(2):
+        for argv, text in zip(readme_examples(), golden):
+            assert run_cli(argv, capsys) == (0, text)
+        if round_ == 0:
+            assert run_cli(["certify", "--space", "ck"], capsys) == (1, "")
+            code, out = run_cli(["sums", "--dirichlet", "2/5,3/5", "--format", "csv"], capsys)
+            assert code == 0 and out.startswith("command,index,key,value")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(golden) + 1)
+
+
+def test_import_builds_no_parser():
+    script = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        argparse.ArgumentParser.__init__ = lambda self, *a, **k: (
+            built.append(1), init(self, *a, **k))[1]
+        import deltalab.cli
+        assert not built and deltalab.cli.build_parser.cache_info().currsize == 0
+        assert deltalab.cli.main(["sums", "--dirichlet", "2/5,3/5"]) == 0
+        print(len(built) > 0, deltalab.cli.build_parser.cache_info().misses)
+    """
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True 1"
 
 
 # ---------------------------------------------------------------------------
