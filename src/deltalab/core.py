@@ -220,35 +220,33 @@ class HullResult:
     iterations: int = 0
 
 
-def hull_norm_rows(k, embeddings):
-    """Standard-form rows of hull-distance LPs that share the k hull weights
-    lam (columns 0..k-1) and the last row, sum lam = 1.  Each `hull_embedding`
+def _hull_form(k, embeddings, point_entries):
+    """The layout of hull-distance LPs that share the k hull weights lam
+    (columns 0..k-1) and the last row, sum lam = 1.  Each `hull_embedding`
     (kind, weights, [target, *vectors]) adds rows P lam + d+ - d- = target
     over new columns d+, d-.  "w1" costs weights . (d+ + d-); "winf" adds
-    columns s and t, rows d+ + d- + s - t = 0, and costs t.  Returns the exact
-    (row, col, val) triplets of the nonzeros, the rhs, and one cost per
-    embedding over all columns; `hull_norm_lp` gives them in floats."""
-    row, col, val, rhs, spans = [], [], [], [], []
+    columns s and t, rows d+ + d- + s - t = 0, and costs t.
+    `point_entries(r0, target, vectors)` writes P from row r0 on: it returns
+    the target's values for the rhs and the (rows, cols, vals) of P's
+    nonzeros.  Returns the (row, col, val) lists of the other nonzeros, the
+    P entries of each embedding, the rhs, and one cost per embedding over
+    all columns."""
+    row, col, val, points, rhs, spans = [], [], [], [], [], []
     ncols = k
     for kind, weights, (target, *vectors) in embeddings:
         n, r0, c0 = len(target), len(rhs), ncols
-        for c in range(n):
-            for i, v in enumerate(vectors):
-                if v[c]:
-                    row.append(r0 + c)
-                    col.append(i)
-                    val.append(v[c])
-            row += [r0 + c] * 2
-            col += [c0 + c, c0 + n + c]
-            val += [1, -1]
-        rhs += target
+        values, entries = point_entries(r0, target, vectors)
+        points.append(entries)
+        rhs += values
+        row += [*range(r0, r0 + n)] * 2
+        col += range(c0, c0 + 2 * n)
+        val += [1] * n + [-1] * n
         if kind == "w1":
             cost = [*weights, *weights]
         elif kind == "winf":
-            for c in range(n):
-                row += [r0 + n + c] * 4
-                col += [c0 + c, c0 + n + c, c0 + 2 * n + c, c0 + 3 * n]
-                val += [1, 1, 1, -1]
+            row += [*range(r0 + n, r0 + 2 * n)] * 4
+            col += [*range(c0, c0 + 3 * n), *[c0 + 3 * n] * n]
+            val += [1] * (3 * n) + [-1] * n
             rhs += [0] * n
             cost = [0] * (3 * n) + [1]
         else:
@@ -259,34 +257,67 @@ def hull_norm_rows(k, embeddings):
     col += range(k)
     val += [1] * k
     rhs.append(1)
-    return row, col, val, rhs, [[0] * c0 + cost + [0] * (ncols - c0 - len(cost))
-                                for c0, cost in spans]
+    return (row, col, val), points, rhs, [
+        [0] * c0 + cost + [0] * (ncols - c0 - len(cost)) for c0, cost in spans]
+
+
+def hull_norm_rows(k, embeddings):
+    """Standard-form rows of the hull-distance LPs of `_hull_form`, exact:
+    the (row, col, val) triplets of the nonzeros, the rhs, and one cost per
+    embedding.  The exact simplex of `hull_distance_info` reads them;
+    `hull_norm_floats` writes the same LP in floats for HiGHS."""
+    def point_entries(r0, target, vectors):
+        entries = [(r0 + c, i, v[c]) for c in range(len(target))
+                   for i, v in enumerate(vectors) if v[c]]
+        return target, [*zip(*entries)] or ((), (), ())
+
+    fixed, points, rhs, costs = _hull_form(k, embeddings, point_entries)
+    row, col, val = ([*itertools.chain(*x)] for x in zip(fixed, *points))
+    return row, col, val, rhs, costs
+
+
+def hull_norm_floats(k, embeddings):
+    """`hull_norm_rows` in floats, P built from arrays: the same nonzeros
+    (row, col and val as numpy arrays, in another order), rhs and costs.
+    Each distinct coordinate object becomes a float once, keyed by `id`
+    (payload operators share equal coordinates), and the nonzeros of P
+    come from `np.nonzero`, so a coordinate that rounds to 0.0 is left out
+    (HiGHS drops entries that small in any case)."""
+    def point_entries(r0, target, vectors):
+        flat = [*target, *itertools.chain.from_iterable(vectors)]
+        ids = [*map(id, flat)]
+        distinct = dict(zip(ids, flat))
+        memo = dict(zip(distinct, map(float, distinct.values())))
+        a = np.fromiter(map(memo.__getitem__, ids), float, len(ids))
+        n = len(target)
+        p = a[n:].reshape(len(vectors), n)
+        cols, cells = np.nonzero(p)
+        return a[:n].tolist(), (cells + r0, cols, p[cols, cells])
+
+    fixed, points, rhs, costs = _hull_form(k, embeddings, point_entries)
+    row, col, val = (np.concatenate([np.asarray(f, dtype=t), *p]) for f, t, *p in
+                     zip(fixed, (np.intp, np.intp, float), *points))
+    return row, col, val, np.asarray(rhs, dtype=float), np.asarray(costs, dtype=float)
 
 
 class _Block(NamedTuple):
-    """A standard form min cost.z s.t. A z = rhs, z >= 0, its matrix A as
-    the (row, col, val) triplets of its nonzeros."""
+    """A float standard form min cost.z s.t. A z = rhs, z >= 0, its matrix A
+    as the (row, col, val) arrays of its nonzeros."""
     cost: Any
     row: Any
     col: Any
     val: Any
     rhs: Any
 
-    def to_float(self):
-        return _Block(np.asarray(self.cost, dtype=float), np.asarray(self.row),
-                      np.asarray(self.col), np.asarray(self.val, dtype=float),
-                      np.asarray(self.rhs, dtype=float))
-
-    def matrix(self):  # of a float block
+    def matrix(self):
         return scipy.sparse.csc_array((self.val, (self.row, self.col)),
                                       shape=(len(self.rhs), len(self.cost)))
 
 
 def hull_norm_lp(k, embeddings):
-    """`hull_norm_rows` in floats: A as a CSC matrix, the rhs, the costs."""
-    row, col, val, rhs, costs = hull_norm_rows(k, embeddings)
-    block = _Block(costs[0], row, col, val, rhs).to_float()
-    return block.matrix(), block.rhs, np.asarray(costs, dtype=float)
+    """`hull_norm_floats` with A as a CSC matrix: (A, rhs, costs)."""
+    row, col, val, rhs, costs = hull_norm_floats(k, embeddings)
+    return _Block(costs[0], row, col, val, rhs).matrix(), rhs, costs
 
 
 def _hull_embedding(target, points):
@@ -337,20 +368,21 @@ def hull_distances(tasks):
     Consecutive tasks share one HiGHS solve of their block-diagonal stack
     while it stays within _STACK_NNZ nonzeros; a larger LP runs alone.  A
     task whose `points` is the very list of the task before, embedded at the
-    same length, reuses that task's float block with the new target's rhs:
-    an embedded vector depends only on its point and the length."""
+    same length, reuses that task's float block: an embedded vector depends
+    only on its point and the length.  Only the rhs rows of the target, the
+    first ones, take the new target's values."""
     out, stack, nnz, last = [], [], 0, None
     for target, points in tasks:
         embedding = _hull_embedding(target, points)
         if embedding is None:
             raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
-        kind, weights, (values, *_) = embedding
+        _, _, (values, *_) = embedding
         if last is not None and last[0] is points and last[1] == len(values):
-            rhs = hull_norm_rows(0, [(kind, weights, [values])])[3]
-            block = last[2]._replace(rhs=np.asarray(rhs, dtype=float))
+            block = last[2]._replace(rhs=last[2].rhs.copy())
+            block.rhs[:len(values)] = [float(v) for v in values]
         else:
-            row, col, val, rhs, [cost] = hull_norm_rows(len(points), [embedding])
-            block = _Block(cost, row, col, val, rhs).to_float()
+            row, col, val, rhs, [cost] = hull_norm_floats(len(points), [embedding])
+            block = _Block(cost, row, col, val, rhs)
         last = points, len(values), block
         if stack and nnz + len(block.val) > _STACK_NNZ:
             out += _solve_blocks(stack)

@@ -12,7 +12,9 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
   ``sums.hull_lower_bound_scalarized`` and the Muntz master LP of
   ``core._hull_distance_exchange`` one LP each.
 
-The hull LPs that feed both come from ``core.hull_norm_rows``.
+The hull LPs that feed both share one layout: ``core.hull_norm_rows``
+writes it exactly for ``simplex_exact``, ``core.hull_norm_floats`` in
+floats for ``simplex_float``.
 ``linprog_mixed`` keeps one caller, ``muntz.bernstein_estimate``.
 """
 

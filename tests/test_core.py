@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from deltalab import ck, core, crosscheck, l1, muntz
@@ -154,8 +155,8 @@ def test_l1_crosscheck_solves_once_per_crosscheck(float_solves):
 def test_hull_distances_reuse_a_shared_point_list(monkeypatch):
     # tasks on one list reuse its block; fresh copies of the list rebuild it
     builds = []
-    rows = core.hull_norm_rows
-    monkeypatch.setattr(core, "hull_norm_rows", lambda k, e: builds.append(k) or rows(k, e))
+    floats = core.hull_norm_floats
+    monkeypatch.setattr(core, "hull_norm_floats", lambda k, e: builds.append(k) or floats(k, e))
     for target, points in hull_tasks(4):
         targets = [target, *points, -target, F(1, 2) * target]
         builds.clear()
@@ -179,6 +180,68 @@ def test_hull_distances_check_every_target_of_a_shared_list():
         core.hull_distances([(sf(M2, 0, 0), points), (sf(other, 0, 0), points)])
     with pytest.raises(core.MixedSpaceError):
         core.hull_distances([(sf(M2, 0, 0), points), (ck.TailSequence((1,), 0), points)])
+
+
+def exact_lp_in_floats(k, embeddings):
+    """`hull_norm_rows` converted entry by entry: (CSC matrix, rhs, costs)."""
+    row, col, val, rhs, costs = core.hull_norm_rows(k, embeddings)
+    a = scipy.sparse.csc_array(([float(v) for v in val], (row, col)),
+                               shape=(len(rhs), len(costs[0])))
+    return a, [float(v) for v in rhs], [[float(v) for v in c] for c in costs]
+
+
+def embedding(target, points):
+    return type(target).hull_embedding([target, *points])
+
+
+def seq(prefix, limit=None, variant=ck.Variant.C):
+    return ck.TailSequence(tuple(prefix), limit, variant)
+
+
+def muntz_master_values():
+    # the values the Muntz master LP embeds: each point on the u-nodes
+    ladder = muntz.ExponentLadder.squares()
+    points = [muntz.MuntzPolynomial(ladder, ((1, F(1, 2)), (2, F(-1, 2)))),
+              muntz.MuntzPolynomial.monomial(ladder, 3, -1)]
+    nodes = [F(j, 8) for j in range(9)] + [F(1, 3)]
+    return [[q.eval_u(u) for u in nodes] for q in (T, *points)]
+
+
+UNEQUAL = l1.MeasureModel((("a", F(1, 2), "ATOM"), ("b", F(1, 3), "NONATOMIC"),
+                           ("c", F(1, 6), "ATOM")))
+HULL_FORMS = {
+    "l1 w1, unequal masses, zeros": (3, [embedding(
+        sf(UNEQUAL, 1, 0, F(-3, 2)),
+        [sf(UNEQUAL, 0, -1, -2), sf(UNEQUAL, F(1, 3), 0, 0), sf(UNEQUAL, -2, F(2, 7), -1)])]),
+    "ck C, longer target": (3, [embedding(
+        seq([1, F(-1, 2), -2, F(1, 3)], F(1, 2)),
+        [seq([-1], 1), seq([F(2, 3), -2], -1), seq([], F(-1, 3))])]),
+    "ck C0": (2, [embedding(seq([F(1, 2), -1], variant=ck.Variant.C0),
+                            [seq([-2, 1, F(1, 5)], variant=ck.Variant.C0),
+                             seq([], variant=ck.Variant.C0)])]),
+    "ck LINF_N": (2, [embedding(seq([1, 0, -1], variant=ck.Variant.LINF_N),
+                                [seq([-2, F(1, 3), 0], variant=ck.Variant.LINF_N),
+                                 seq([0, -1, 1], variant=ck.Variant.LINF_N)])]),
+    "muntz master LP": (2, [("winf", None, muntz_master_values())]),
+    "two embeddings of a sum": (2, [
+        embedding(sf(UNEQUAL, 1, -1, 0), [sf(UNEQUAL, 0, 1, -2), sf(UNEQUAL, -1, 0, 1)]),
+        embedding(seq([F(1, 2)], -1), [seq([-2, 1], 0), seq([1], F(1, 4))])]),
+    "all zeros, k = 1": (1, [embedding(sf(M3, 0, 0, 0), [sf(M3, 0, 0, 0)])]),
+    "ck all zeros, k = 1": (1, [embedding(seq([0, 0], 0), [seq([], 0)])]),
+}
+
+
+@pytest.mark.parametrize("name", HULL_FORMS)
+def test_hull_norm_floats_match_the_exact_rows(name):
+    # the float builder writes hull_norm_rows' LP, entry for entry
+    k, embeddings = HULL_FORMS[name]
+    a, rhs, costs = exact_lp_in_floats(k, embeddings)
+    a_float, rhs_float, costs_float = core.hull_norm_lp(k, embeddings)
+    assert a_float.shape == a.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(a_float, part).tolist() == getattr(a, part).tolist()
+    assert rhs_float.tolist() == rhs
+    assert costs_float.tolist() == costs
 
 
 # ---------------------------------------------------------------------------
