@@ -231,12 +231,12 @@ def _hull_form(k, embeddings, point_entries):
     nonzeros.  Returns the (row, col, val) lists of the other nonzeros, the
     P entries of each embedding, the rhs, and one cost per embedding over
     all columns."""
-    row, col, val, points, rhs, spans = [], [], [], [], [], []
+    row, col, val, p_parts, rhs, spans = [], [], [], [], [], []
     ncols = k
     for kind, weights, (target, *vectors) in embeddings:
         n, r0, c0 = len(target), len(rhs), ncols
         values, entries = point_entries(r0, target, vectors)
-        points.append(entries)
+        p_parts.append(entries)
         rhs += values
         row += [*range(r0, r0 + n)] * 2
         col += range(c0, c0 + 2 * n)
@@ -257,7 +257,7 @@ def _hull_form(k, embeddings, point_entries):
     col += range(k)
     val += [1] * k
     rhs.append(1)
-    return (row, col, val), points, rhs, [
+    return (row, col, val), p_parts, rhs, [
         [0] * c0 + cost + [0] * (ncols - c0 - len(cost)) for c0, cost in spans]
 
 
@@ -271,8 +271,8 @@ def hull_norm_rows(k, embeddings):
                    for i, v in enumerate(vectors) if v[c]]
         return target, [*zip(*entries)] or ((), (), ())
 
-    fixed, points, rhs, costs = _hull_form(k, embeddings, point_entries)
-    row, col, val = ([*itertools.chain(*x)] for x in zip(fixed, *points))
+    fixed, p_parts, rhs, costs = _hull_form(k, embeddings, point_entries)
+    row, col, val = ([*itertools.chain(*x)] for x in zip(fixed, *p_parts))
     return row, col, val, rhs, costs
 
 
@@ -294,9 +294,9 @@ def hull_norm_floats(k, embeddings):
         cols, cells = np.nonzero(p)
         return a[:n].tolist(), (cells + r0, cols, p[cols, cells])
 
-    fixed, points, rhs, costs = _hull_form(k, embeddings, point_entries)
+    fixed, p_parts, rhs, costs = _hull_form(k, embeddings, point_entries)
     row, col, val = (np.concatenate([np.asarray(f, dtype=t), *p]) for f, t, *p in
-                     zip(fixed, (np.intp, np.intp, float), *points))
+                     zip(fixed, (np.intp, np.intp, float), *p_parts))
     return row, col, val, np.asarray(rhs, dtype=float), np.asarray(costs, dtype=float)
 
 
