@@ -332,6 +332,20 @@ def _hull_embedding(target, points):
     return None if embed is None else embed([target, *points])
 
 
+def _reused_values(target, points, length):
+    """The target's embedded values for a task on the already embedded
+    `points`, or None when they do not have `length`.  It embeds the target
+    beside points[0] alone: the points were checked against each other, so
+    this makes the same space and model checks as the full embedding.  On a
+    hit the full embedding has this length too: it is at least this one and
+    at most the cached one."""
+    spaces = {target.space, points[0].space}
+    if len(spaces) != 1:
+        raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
+    _, _, (values, _) = type(target).hull_embedding([target, points[0]])
+    return values if len(values) == length else None
+
+
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
 # stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
 # crosscheck LP has at most 150 nonzeros and a whole crosscheck (three eps
@@ -370,14 +384,19 @@ def hull_distances(tasks):
     task whose `points` is the very list of the task before, embedded at the
     same length, reuses that task's float block: an embedded vector depends
     only on its point and the length.  Only the rhs rows of the target, the
-    first ones, take the new target's values."""
+    first ones, take the new target's values, and only the target is
+    embedded again unless the length may differ."""
     out, stack, nnz, last = [], [], 0, None
     for target, points in tasks:
-        embedding = _hull_embedding(target, points)
-        if embedding is None:
-            raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
-        _, _, (values, *_) = embedding
-        if last is not None and last[0] is points and last[1] == len(values):
+        reuse = last is not None and last[0] is points
+        values = _reused_values(target, points, last[1]) if reuse else None
+        if values is None:
+            embedding = _hull_embedding(target, points)
+            if embedding is None:
+                raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
+            _, _, (values, *_) = embedding
+            reuse = reuse and last[1] == len(values)
+        if reuse:
             block = last[2]._replace(rhs=last[2].rhs.copy())
             block.rhs[:len(values)] = [float(v) for v in values]
         else:

@@ -7,7 +7,12 @@ l1 over the current cell list, and refining nonatomic cells is how the model
 approaches the continuous geometry.
 
 All masses and values are exact rationals, so norms, functional values and
-the polyhedral operations below are bit-exact.
+the polyhedral operations below are bit-exact.  The hot kernels work in
+integers: `norm` sums integer numerators over a running common denominator
+and builds one Fraction at the end, and the far-vertex test compares
+integers.  Values this module computes itself (operator results, lifts,
+ball vertices) go through trusted constructors; every outside input is
+validated.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ class CellKind(Enum):
     NONATOMIC = "NONATOMIC"
 
 
+_KINDS = {k.value: k for k in CellKind}
+
+
+def _kind(name):
+    """The CellKind called `name`, from a table; CellKind() takes members
+    and raises its ValueError for anything else."""
+    return (_KINDS.get(name) if isinstance(name, str) else None) or CellKind(name)
+
+
 class AtomIndivisibleError(DeltaLabError):
     """Splitting an atom: the operational content of being an atom."""
 
@@ -59,7 +73,7 @@ class Cell:
 
     def __post_init__(self):
         object.__setattr__(self, "mass", as_fraction(self.mass))
-        if self.mass <= 0:
+        if self.mass.numerator <= 0:
             raise DeltaLabError(f"cell {self.id!r} needs positive mass")
 
 
@@ -69,7 +83,7 @@ class MeasureModel:
 
     def __post_init__(self):
         cells = tuple(
-            c if isinstance(c, Cell) else Cell(c[0], as_fraction(c[1]), CellKind(c[2]))
+            c if isinstance(c, Cell) else Cell(c[0], c[1], _kind(c[2]))
             for c in self.cells
         )
         object.__setattr__(self, "cells", cells)
@@ -94,7 +108,7 @@ class MeasureModel:
         """The ball vertex s * indicator / mass of cell i, s = +-1."""
         vals = [Fraction(0)] * len(self.cells)
         vals[i] = Fraction(s) / self.cells[i].mass
-        return StepFunction(self, tuple(vals))
+        return StepFunction._from_values(self, tuple(vals))
 
     def ball_vertices(self):
         """Extreme points of the unit ball: +-(indicator / mass) per cell."""
@@ -108,6 +122,36 @@ class SplitResult:
     lift_functional: Callable
 
 
+def _divisible(model: MeasureModel, cell_id: str):
+    """(index, cell) of a cell that may be split."""
+    i = model.index(cell_id)
+    if model.cells[i].kind is CellKind.ATOM:
+        raise AtomIndivisibleError(f"cell {cell_id!r} is an atom")
+    return i, model.cells[i]
+
+
+def _split(model: MeasureModel, i: int, parts) -> SplitResult:
+    """`model` with cell i replaced by NONATOMIC cells (id, mass) `parts`,
+    and lifts that repeat cell i's value on every part."""
+    k = len(parts)
+    cells = tuple(Cell(cid, mass, CellKind.NONATOMIC) for cid, mass in parts)
+    new_model = MeasureModel(model.cells[:i] + cells + model.cells[i + 1:])
+
+    def lift(f: "StepFunction") -> "StepFunction":
+        if f.model != model:
+            raise DeltaLabError("lift applies to step functions on the split model")
+        vals = f.values[:i] + (f.values[i],) * k + f.values[i + 1:]
+        return StepFunction._from_values(new_model, vals)
+
+    def lift_functional(phi: "StepFunctional") -> "StepFunctional":
+        if phi.model != model:
+            raise DeltaLabError("lift applies to functionals on the split model")
+        coeffs = phi.coeffs[:i] + (phi.coeffs[i],) * k + phi.coeffs[i + 1:]
+        return StepFunctional._from_coeffs(new_model, coeffs)
+
+    return SplitResult(new_model, lift, lift_functional)
+
+
 def split_cell(model: MeasureModel, cell_id: str, fraction) -> SplitResult:
     """Replace a NONATOMIC cell by two halves of masses f*m and (1-f)*m.
 
@@ -118,29 +162,9 @@ def split_cell(model: MeasureModel, cell_id: str, fraction) -> SplitResult:
     fraction = as_fraction(fraction)
     if not 0 < fraction < 1:
         raise DeltaLabError("split fraction must lie in (0,1)")
-    i = model.index(cell_id)
-    cell = model.cells[i]
-    if cell.kind is CellKind.ATOM:
-        raise AtomIndivisibleError(f"cell {cell_id!r} is an atom")
-    halves = (
-        Cell(f"{cell.id}.0", cell.mass * fraction, CellKind.NONATOMIC),
-        Cell(f"{cell.id}.1", cell.mass * (1 - fraction), CellKind.NONATOMIC),
-    )
-    new_model = MeasureModel(model.cells[:i] + halves + model.cells[i + 1:])
-
-    def lift(f: "StepFunction") -> "StepFunction":
-        if f.model != model:
-            raise DeltaLabError("lift applies to step functions on the split model")
-        vals = f.values[:i] + (f.values[i], f.values[i]) + f.values[i + 1:]
-        return StepFunction(new_model, vals)
-
-    def lift_functional(phi: "StepFunctional") -> "StepFunctional":
-        if phi.model != model:
-            raise DeltaLabError("lift applies to functionals on the split model")
-        coeffs = phi.coeffs[:i] + (phi.coeffs[i], phi.coeffs[i]) + phi.coeffs[i + 1:]
-        return StepFunctional(new_model, coeffs)
-
-    return SplitResult(new_model, lift, lift_functional)
+    i, cell = _divisible(model, cell_id)
+    return _split(model, i, [(f"{cell_id}.0", cell.mass * fraction),
+                             (f"{cell_id}.1", cell.mass * (1 - fraction))])
 
 
 def _chain(fns):
@@ -153,19 +177,23 @@ def _chain(fns):
 
 
 def split_even(model: MeasureModel, cell_id: str, pieces: int) -> SplitResult:
-    """Split a nonatomic cell into `pieces` equal-mass parts (chained splits)."""
+    """Split a nonatomic cell c into `pieces` parts of equal mass, in one step.
+
+    The parts are named as a chain of `split_cell` calls would name them,
+    each splitting off 1/(pieces - j) of the rest: c.0, c.1.0, ...,
+    c.1...1 (pieces - 1 times ".1").  The chain gives every part mass
+    m/pieces exactly, so this is the chain's model, built once, with lifts
+    that repeat the cell's value.  pieces = 1 returns `model` and identity
+    lifts.
+    """
     if pieces < 1:
         raise DeltaLabError("pieces must be >= 1")
-    lifts, flifts = [], []
-    current = model
-    cid = cell_id
-    for j in range(pieces - 1):
-        res = split_cell(current, cid, Fraction(1, pieces - j))
-        lifts.append(res.lift)
-        flifts.append(res.lift_functional)
-        current = res.model
-        cid = f"{cid}.1"
-    return SplitResult(current, _chain(lifts), _chain(flifts))
+    if pieces == 1:
+        return SplitResult(model, _chain(()), _chain(()))
+    i, cell = _divisible(model, cell_id)
+    ids = [f"{cell_id}{'.1' * j}.0" for j in range(pieces - 1)] + [cell_id + ".1" * (pieces - 1)]
+    mass = cell.mass / pieces
+    return _split(model, i, [(cid, mass) for cid in ids])
 
 
 @dataclass(frozen=True)
@@ -181,8 +209,29 @@ class StepFunction:
         if len(vals) != len(self.model.cells):
             raise DeltaLabError("one value per cell required")
 
+    @staticmethod
+    def _from_values(model: MeasureModel, values: tuple) -> "StepFunction":
+        """Trusted constructor for values this module computed: `values` is
+        a tuple of Fractions, one per cell of `model`, so `__post_init__`
+        (and `as_fraction`) is skipped.  The fields are the validated ones,
+        so ==, hash and repr agree."""
+        p = object.__new__(StepFunction)
+        p.__dict__.update(model=model, values=values)
+        return p
+
     def norm(self) -> Fraction:
-        return sum((abs(v) * c.mass for v, c in zip(self.values, self.model.cells)), Fraction(0))
+        """sum |v_c| m_c, as integer numerators over a running common
+        denominator."""
+        num, den = 0, 1
+        for v, c in zip(self.values, self.model.cells):
+            if v:
+                a = abs(v.numerator) * c.mass.numerator
+                d = v.denominator * c.mass.denominator
+                if den % d:
+                    lcm = den // math.gcd(den, d) * d
+                    num, den = num * (lcm // den), lcm
+                num += a * (den // d)
+        return Fraction(num, den)
 
     def support(self):
         return tuple(c for v, c in zip(self.values, self.model.cells) if v != 0)
@@ -190,7 +239,8 @@ class StepFunction:
     def _binop(self, other, op):
         if not isinstance(other, StepFunction) or other.model != self.model:
             raise DeltaLabError("step functions must share a model")
-        return StepFunction(self.model, tuple(op(a, b) for a, b in zip(self.values, other.values)))
+        return StepFunction._from_values(
+            self.model, tuple(op(a, b) for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other):
         return self._binop(other, lambda a, b: a - b)
@@ -199,11 +249,11 @@ class StepFunction:
         return self._binop(other, lambda a, b: a + b)
 
     def __neg__(self):
-        return StepFunction(self.model, tuple(-v for v in self.values))
+        return StepFunction._from_values(self.model, tuple(-v for v in self.values))
 
     def __mul__(self, scalar):
         s = as_fraction(scalar)
-        return StepFunction(self.model, tuple(s * v for v in self.values))
+        return StepFunction._from_values(self.model, tuple(s * v for v in self.values))
 
     __rmul__ = __mul__
 
@@ -247,6 +297,13 @@ class StepFunctional(Functional):
         if len(self.coeffs) != len(self.model.cells):
             raise DeltaLabError("one coefficient per cell required")
 
+    @staticmethod
+    def _from_coeffs(model: MeasureModel, coeffs: tuple) -> "StepFunctional":
+        """Trusted constructor, as `StepFunction._from_values`."""
+        phi = object.__new__(StepFunctional)
+        phi.__dict__.update(model=model, coeffs=coeffs)
+        return phi
+
     def __call__(self, f: StepFunction) -> Fraction:
         if f.model != self.model:
             raise DeltaLabError("functional and point live on different models")
@@ -279,15 +336,15 @@ def is_daugavet_point_l1(f: StepFunction):
     hull-distance bound.
     """
     require_unit(f)
-    atoms = [c for c in f.support() if c.kind is CellKind.ATOM]
-    if not atoms:
+    support = f.support()
+    atom = next((c for c in support if c.kind is CellKind.ATOM), None)
+    if atom is None:
         cert = Certificate(
             verdict=Verdict.DAUGAVET_YES,
-            log=(("support", tuple(c.id for c in f.support())),),
+            log=(("support", tuple(c.id for c in support)),),
         )
         return True, cert
-    ref = refute_delta_atom(f, atoms[0].id)
-    return False, ref.certificate
+    return False, refute_delta_atom(f, atom.id).certificate
 
 
 @dataclass(frozen=True)
@@ -311,14 +368,17 @@ def refute_delta_atom(f: StepFunction, atom_id: str, eps=None) -> AtomRefutation
         raise DeltaLabError(f"atom {atom_id!r} is not in supp(f)")
     mu = cell.mass
     if eps is None:
+        # eps = c mu lies inside the guard, and the bound is c mu / 2
         eps = c * mu
-    eps = as_fraction(eps)
-    if not 0 < eps < 2 * c * mu:
-        raise BoundVoidError(f"need 0 < eps < 2*c*mu(A) = {float(2 * c * mu)}")
-    bound = (c - eps / (2 * mu)) * mu
+        bound = eps / 2
+    else:
+        eps = as_fraction(eps)
+        if not 0 < eps < 2 * c * mu:
+            raise BoundVoidError(f"need 0 < eps < 2*c*mu(A) = {float(2 * c * mu)}")
+        bound = (c - eps / (2 * mu)) * mu
     coeffs = [Fraction(0)] * len(f.model.cells)
     coeffs[i] = Fraction(sgn(f.values[i]))
-    phi = StepFunctional(f.model, tuple(coeffs))
+    phi = StepFunctional._from_coeffs(f.model, tuple(coeffs))
     cert = Certificate(
         verdict=Verdict.DELTA_NO,
         refutation=Refutation(
@@ -482,11 +542,16 @@ def far_vertices(f: StepFunction, eps):
     """
     eps = as_fraction(eps)
     model, fl, lift = _refine_for_eps(f, eps)
-    # ||fl - s chi_c / m_c|| = ||fl|| - |fl_c| m_c + |fl_c m_c - s|
+    # ||fl - s chi_c / m_c|| = ||fl|| - |w| + |w - s| with w = fl_c m_c = p/q;
+    # times q > 0 and the denominators of ||fl|| = n/d and eps = e/g:
+    # (n q - |p| d + |p - s q| d) g >= (2 g - e) d q
     norm, members = fl.norm(), []
+    n, d = norm.numerator, norm.denominator
+    e, g = eps.numerator, eps.denominator
     for i, (v, cell) in enumerate(zip(fl.values, model.cells)):
-        w = v * cell.mass
-        members += [model.vertex(i, s) for s in (1, -1) if norm - abs(w) + abs(w - s) >= 2 - eps]
+        p, q = v.numerator * cell.mass.numerator, v.denominator * cell.mass.denominator
+        rest, need = (n * q - abs(p) * d) * g, (2 * g - e) * d * q
+        members += [model.vertex(i, s) for s in (1, -1) if rest + abs(p - s * q) * d * g >= need]
     return model, fl, members, lift
 
 

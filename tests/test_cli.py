@@ -244,6 +244,24 @@ def test_malformed_point_exits_one(capsys):
         assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("cells, values, error", [
+    ([("a", "1/2", "NONATOMIC"), ("a", "1/2", "NONATOMIC")], ["1", "1"],
+     "DeltaLabError: cell ids must be unique"),
+    ([("a", "0", "NONATOMIC")], ["1"], "DeltaLabError: cell 'a' needs positive mass"),
+    ([("a", "1", "atom")], ["1"], "ValueError: 'atom' is not a valid CellKind"),
+    ([("a", "1", "NONATOMIC")], ["1", "0"], "DeltaLabError: one value per cell required"),
+    ([("a", "nan", "NONATOMIC")], ["1"], "ValueError: cannot convert NaN to integer ratio"),
+], ids=["duplicate-ids", "zero-mass", "lowercase-kind", "value-count", "nan-mass"])
+def test_malformed_l1_point_exits_one(capsys, cells, values, error):
+    point = json.dumps({"cells": [{"id": i, "mass": m, "kind": k} for i, m, k in cells],
+                        "values": values})
+    for argv in (["certify", "--space", "l1", "--point", point],
+                 ["crosscheck", "--space", "l1", "--point", point]):
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == error
+
+
 def test_bad_flag_exits_one(capsys):
     code, _ = run_cli(["certify", "--space", "nowhere", "--point", "{}"], capsys)
     assert code == 1

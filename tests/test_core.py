@@ -173,6 +173,23 @@ def test_hull_distances_reuse_a_shared_point_list(monkeypatch):
     assert shared == pytest.approx([core.hull_distance(t, points) for t in targets], abs=1e-9)
 
 
+def test_hull_distances_embed_a_shared_l1_list_once(monkeypatch):
+    # later tasks on the same list embed their target beside one point only
+    sizes = []
+    embed = l1.StepFunction.hull_embedding
+    monkeypatch.setattr(l1.StepFunction, "hull_embedding",
+                        staticmethod(lambda pts: sizes.append(len(pts)) or embed(pts)))
+    model = l1.MeasureModel(tuple((f"c{i}", F(i + 1, 7), "NONATOMIC") for i in range(6)))
+    points = model.ball_vertices()
+    targets = [sf(model, *(F((i * j) % 5 - 2, 9) for j in range(6))) for i in range(8)]
+    shared = core.hull_distances([(t, points) for t in targets])
+    assert sizes == [len(points) + 1] + [2] * (len(targets) - 1)
+    sizes.clear()
+    fresh = [core.hull_distances([(t, list(points))])[0] for t in targets]
+    assert sizes == [len(points) + 1] * len(targets)
+    assert shared == fresh
+
+
 def test_hull_distances_check_every_target_of_a_shared_list():
     points = [sf(M2, 1, 0), sf(M2, 0, -1)]
     other = atoms(1, 2)

@@ -277,3 +277,167 @@ def test_far_vertices_are_the_far_ball_vertices(eps):
         f = l1.StepFunction(model(*spec), tuple(vals))
         refined, fl, members, _ = l1.far_vertices(f, eps)
         assert members == [v for v in refined.ball_vertices() if (fl - v).norm() >= 2 - eps]
+
+
+# ---------------------------------------------------------------------------
+# integer kernels and trusted constructors against their Fraction definitions
+
+
+def random_point(rng, masses, kinds=None):
+    kinds = kinds or ["NONATOMIC"] * len(masses)
+    m = model(*zip(masses, kinds))
+    vals = [rng.choice([0, 0, F(rng.randint(-10**6, 10**6), rng.randint(1, 10**9)),
+                        F(rng.randint(-9, 9), rng.choice([1, 3, 7, 2 ** 61 - 1]))])
+            for _ in masses]
+    return l1.StepFunction(m, tuple(vals))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_norm_is_the_fraction_sum(seed):
+    rng = random.Random(seed)
+    mass_sets = [(F(1, 3), F(2, 7), F(5, 21)), (F(1, 10**12 + 39), F(7, 2 ** 61 - 1), 3),
+                 (1,), (F(1, 3),) * 6]
+    for masses in mass_sets:
+        for _ in range(20):
+            f = random_point(rng, masses)
+            expected = sum((abs(v) * c.mass for v, c in zip(f.values, f.model.cells)), F(0))
+            assert f.norm() == expected and type(f.norm()) is F
+            assert (-f).norm() == expected
+    zero = l1.StepFunction(model((F(1, 3), "ATOM"), (F(2, 7), "NONATOMIC")), (0, 0))
+    assert zero.norm() == 0
+    assert l1.StepFunction(zero.model, (-3, F(-1, 2))).norm() == 1 + F(1, 7)
+
+
+def test_refutation_bound_formula():
+    m = model((F(2, 7), "ATOM"), (F(5, 21), "ATOM"), (F(1, 3), "NONATOMIC"))
+    for vals in [(F(-7, 4), 0, 1), (F(3, 11), F(-5, 13), 0), (1, 1, 1)]:
+        f = l1.StepFunction(m, vals)
+        for j, cid in ((0, "c0"), (1, "c1")):
+            c, mu = abs(f.values[j]), m.cells[j].mass
+            if c == 0:
+                continue
+            res = l1.refute_delta_atom(f, cid)
+            assert res.eps_used == c * mu
+            assert res.bound == (c - c * mu / (2 * mu)) * mu == res.certificate.refutation.bound
+            for eps in (c * mu / 3, F(1, 10**6), 2 * c * mu - F(1, 10**9)):
+                res = l1.refute_delta_atom(f, cid, eps)
+                assert res.eps_used == eps and res.bound == (c - eps / (2 * mu)) * mu
+            with pytest.raises(l1.BoundVoidError):
+                l1.refute_delta_atom(f, cid, 2 * c * mu)
+
+
+def same_object(trusted, validated):
+    assert trusted == validated and validated == trusted
+    assert hash(trusted) == hash(validated) and repr(trusted) == repr(validated)
+
+
+def test_trusted_results_equal_validated_ones():
+    rng = random.Random(3)
+    masses = (F(1, 3), F(2, 7), F(5, 21))
+    for _ in range(20):
+        f, g = random_point(rng, masses), random_point(rng, masses)
+        s = F(rng.randint(-5, 5), rng.randint(1, 9))
+        for trusted, vals in [(f + g, [a + b for a, b in zip(f.values, g.values)]),
+                              (f - g, [a - b for a, b in zip(f.values, g.values)]),
+                              (-f, [-a for a in f.values]),
+                              (s * f, [s * a for a in f.values]),
+                              (f * 2, [2 * a for a in f.values])]:
+            same_object(trusted, l1.StepFunction(f.model, tuple(vals)))
+    m = f.model
+    for i in range(len(m.cells)):
+        for s in (1, -1):
+            vals = [0] * len(m.cells)
+            vals[i] = F(s) / m.cells[i].mass
+            same_object(m.vertex(i, s), l1.StepFunction(m, tuple(vals)))
+    res = l1.split_even(m, "c1", 3)
+    same_object(res.lift(f), l1.StepFunction(res.model, f.values[:2] + f.values[1:]
+                                             + f.values[1:2]))
+    phi = l1.StepFunctional(m, (1, F(-1, 2), 0))
+    same_object(res.lift_functional(phi), l1.StepFunctional(res.model, (1,) + (F(-1, 2),) * 3
+                                                            + (0,)))
+    atoms = model(*zip(masses, ["ATOM"] * 3))
+    ref = l1.refute_delta_atom(l1.StepFunction(atoms, (0, F(-7, 2), 0)), "c1")
+    same_object(ref.functional, l1.StepFunctional(atoms, (0, -1, 0)))
+
+
+def chained_split(m, cell_id, pieces):
+    """The chain of `split_cell` calls that `split_even` stands for."""
+    lifts, flifts, cid = [], [], cell_id
+    for j in range(pieces - 1):
+        res = l1.split_cell(m, cid, F(1, pieces - j))
+        m, cid = res.model, f"{cid}.1"
+        lifts.append(res.lift)
+        flifts.append(res.lift_functional)
+    return m, lifts, flifts
+
+
+def apply_all(fns, v):
+    for fn in fns:
+        v = fn(v)
+    return v
+
+
+@pytest.mark.parametrize("pieces", range(1, 8))
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_split_even_is_the_chain_of_splits(pieces, where):
+    m = model((F(1, 3), "NONATOMIC"), (F(2, 7), "NONATOMIC"), (F(5, 21), "NONATOMIC"))
+    f = l1.StepFunction(m, (F(-3, 4), F(5, 9), 0))
+    phi = l1.StepFunctional(m, (1, F(-1, 3), F(1, 2)))
+    cid = f"c{where}"
+    res = l1.split_even(m, cid, pieces)
+    ref, lifts, flifts = chained_split(m, cid, pieces)
+    assert [(c.id, c.mass, c.kind) for c in res.model.cells] == \
+        [(c.id, c.mass, c.kind) for c in ref.cells]
+    assert res.model == ref
+    assert [c.mass for c in res.model.cells].count(m.cells[where].mass / pieces) >= pieces
+    same_object(res.lift(f), apply_all(lifts, f))
+    same_object(res.lift_functional(phi), apply_all(flifts, phi))
+    assert res.lift(f).norm() == f.norm()
+    assert res.lift_functional(phi)(res.lift(f)) == phi(f)
+
+
+def test_split_even_keeps_its_errors():
+    m = model((1, "NONATOMIC"), (1, "ATOM"))
+    with pytest.raises(KeyError):
+        l1.split_even(m, "nowhere", 3)
+    with pytest.raises(l1.AtomIndivisibleError):
+        l1.split_even(m, "c1", 2)
+    with pytest.raises(core.DeltaLabError, match="pieces"):
+        l1.split_even(m, "c0", 0)
+    res = l1.split_even(m, "c0", 2)
+    with pytest.raises(core.DeltaLabError, match="split model"):
+        res.lift(res.lift(l1.StepFunction(m, (1, 0))))
+
+
+# ---------------------------------------------------------------------------
+# refinement grows linearly
+
+
+@pytest.fixture
+def built_models(monkeypatch):
+    """The cell count of every MeasureModel built, in order."""
+    sizes = []
+    check = l1.MeasureModel.__post_init__
+    monkeypatch.setattr(l1.MeasureModel, "__post_init__",
+                        lambda self: sizes.append(len(self.cells)) or check(self))
+    return sizes
+
+
+@pytest.mark.parametrize("pieces", [2, 3, 10, 200])
+def test_split_even_builds_one_model(built_models, pieces):
+    m = model((F(1, 3), "NONATOMIC"), (F(2, 3), "NONATOMIC"))
+    built_models.clear()
+    res = l1.split_even(m, "c0", pieces)
+    assert built_models == [pieces + 1]
+    assert len(res.model.cells) == pieces + 1
+
+
+def test_refinement_builds_one_model_per_refined_cell(built_models):
+    m = model((F(1, 4), "NONATOMIC"), (F(1, 4), "ATOM"), (F(1, 4), "NONATOMIC"),
+              (F(1, 4), "NONATOMIC"))
+    f = l1.StepFunction(m, (2, 1, -1, 0))  # the last cell carries no f-mass
+    built_models.clear()
+    refined, fl, _ = l1._refine_for_eps(f, F(1, 500))
+    assert len(built_models) == 2
+    assert len(refined.cells) == 500 + 1 + 250 + 1 == built_models[-1]
+    assert fl.norm() == f.norm() == 1

@@ -78,3 +78,43 @@ def test_layout_check_flags_a_branch():
         "line 6: compares with 'muntz'",
         "line 6: compares with 'ck'",
     ]
+
+
+TRUSTED = {"_from_values", "_from_coeffs"}
+CODECS = {"point_from_json", "functional_from_json"}
+
+
+def trusted_uses(source, codecs_only=False):
+    """`line N: name` for each reference to an L1 trusted constructor
+    (with codecs_only, only those inside the JSON decoders)."""
+    tree = ast.parse(source)
+    scopes = [tree]
+    if codecs_only:
+        scopes = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name in CODECS]
+    return [f"line {node.lineno}: {node.attr}" for scope in scopes for node in ast.walk(scope)
+            if isinstance(node, ast.Attribute) and node.attr in TRUSTED]
+
+
+@pytest.mark.parametrize("path", sorted(Path(deltalab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_trusted_l1_constructors_stay_inside_l1(path):
+    # every outside input, JSON included, goes through the validating
+    # constructors; the trusted ones serve values l1 computed itself
+    source = path.read_text(encoding="utf-8")
+    if path.name == "l1.py":
+        assert trusted_uses(source)
+        assert trusted_uses(source, codecs_only=True) == []
+        assert {n.name for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.FunctionDef)} >= CODECS
+    else:
+        assert trusted_uses(source) == []
+
+
+def test_trusted_check_flags_a_decoder():
+    source = ("def point_from_json(obj):\n"
+              "    return StepFunction._from_values(m, v)\n"
+              "def other(m, v):\n"
+              "    return StepFunctional._from_coeffs(m, v)\n")
+    assert trusted_uses(source) == ["line 2: _from_values", "line 4: _from_coeffs"]
+    assert trusted_uses(source, codecs_only=True) == ["line 2: _from_values"]
