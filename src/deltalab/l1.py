@@ -184,13 +184,13 @@ def split_even(model: MeasureModel, cell_id: str, pieces: int) -> SplitResult:
     c.1...1 (pieces - 1 times ".1").  The chain gives every part mass
     m/pieces exactly, so this is the chain's model, built once, with lifts
     that repeat the cell's value.  pieces = 1 returns `model` and identity
-    lifts.
+    lifts, once the cell is known to be divisible.
     """
     if pieces < 1:
         raise DeltaLabError("pieces must be >= 1")
+    i, cell = _divisible(model, cell_id)
     if pieces == 1:
         return SplitResult(model, _chain(()), _chain(()))
-    i, cell = _divisible(model, cell_id)
     ids = [f"{cell_id}{'.1' * j}.0" for j in range(pieces - 1)] + [cell_id + ".1" * (pieces - 1)]
     mass = cell.mass / pieces
     return _split(model, i, [(cid, mass) for cid in ids])
@@ -523,7 +523,7 @@ def _refine_for_eps(f: StepFunction, eps: Fraction):
         w = abs(value) * cell.mass
         if w == 0:
             continue
-        pieces = max(1, math.ceil(2 * w / eps))
+        pieces = math.ceil(2 * w / eps)
         if pieces == 1:
             continue
         res = split_even(model, cell.id, pieces)

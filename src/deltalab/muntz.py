@@ -671,15 +671,56 @@ class BernsteinResult:
     at: float
     coeffs: tuple
     norm_hi: float
+    lp_solves: int         # HiGHS solves: box LPs plus objective LPs
+
+
+# bernstein_estimate solves every _COARSE_STEP-th objective node (and the
+# last) before deciding which of the others can still win
+_COARSE_STEP = 8
+
+
+def _derivative_row(lambdas, t_star):
+    """d(t*): the derivatives of t^lam at t*, with d = 0 at t* = 0 except
+    for lam = 1."""
+    if t_star == 0.0:
+        return np.array([lam if lam == 1 else 0.0 for lam in lambdas])
+    return np.array([lam * t_star ** (lam - 1) for lam in lambdas])
+
+
+def _spread(d_j, d_i, box):
+    """sum_k |d_jk - d_ik| M_k, with 0 * inf counted as 0."""
+    gap = np.abs(d_j - d_i)
+    moved = gap > 0
+    return float(np.dot(gap[moved], box[moved]))
 
 
 def bernstein_estimate(ladder: ExponentLadder, terms: int, s, grid_n: int) -> BernsteinResult:
     """Lower bound for the truncated derivative-growth constant
     c(Lambda_M, s) = sup ||p'||_[0,s] / ||p||_[0,1] over the first M terms.
 
-    One LP per objective node t*: maximize p'(t*) subject to |p(t_j)| <= 1
-    on a [0,1] grid.  The reported bound re-evaluates the optimizer with a
-    certified sup norm, so grid slack cannot inflate it.
+    One LP per objective node t*: maximize p'(t*) = d(t*).a subject to
+    |p(t_j)| <= 1 on a [0,1] grid, i.e. over the symmetric polytope
+    P = {a : |T a| <= 1} with T the grid's power matrix.  The reported
+    bound re-evaluates the optimizer with a certified sup norm, so grid
+    slack cannot inflate it.
+
+    Nodes that provably cannot win are skipped.  The node value
+    v(t*) = h_P(d(t*)) is the support function of P, which is sublinear:
+    v_j <= v_i + sum_k |d_jk - d_ik| M_k with M_k = max_{a in P} a_k, one
+    box LP per term since P = -P.  A box LP that fails (any lp.LPError)
+    sets M_k = inf, so no node is pruned through coordinate k; 0 * inf
+    counts as 0.  Every _COARSE_STEP-th node and the last are solved
+    first; any other node is solved, in grid order, only if the bound from
+    its nearest coarse neighbours, times (1 + 1e-6) plus 1e-9, reaches the
+    best value found so far.  The constraints are homogeneous, so a HiGHS
+    optimum within its primal tolerance tau = 1e-7 lies in (1 + tau)P and
+    each computed v_i, v_j and M_k is within a relative tau of the exact
+    one; the relative margin 1e-6 = 10 tau covers these errors.  A skipped
+    node thus lies below the best value, a tie is never skipped, and the
+    winner -- the first maximum in grid order over the solved nodes, each
+    solved by the same LP call as in a full scan -- is the node a full
+    scan would pick.  A failed objective LP is reported as a degenerate
+    grid: a = 0 is always feasible, so it is a numerical failure.
     """
     s = float(s)
     if not 0 < s < 1:
@@ -694,29 +735,54 @@ def bernstein_estimate(ladder: ExponentLadder, terms: int, s, grid_n: int) -> Be
     T = np.stack([np.power(t_grid, lam) for lam in lambdas], axis=1)
     A_ub = np.vstack([T, -T])
     b_ub = np.ones(2 * grid_n)
+    solves = 0
 
-    best = None
-    for t_star in np.linspace(0.0, s, grid_n):
-        d = np.array([lam * (t_star ** (lam - 1) if t_star > 0 or lam != 1 else 1.0)
-                      for lam in lambdas])
-        if t_star == 0.0:
-            d = np.array([lam if lam == 1 else 0.0 for lam in lambdas])
+    def solve(c):
+        nonlocal solves
+        solves += 1
+        return lp.linprog_mixed(c, A_ub=A_ub, b_ub=b_ub,
+                                bounds=[(None, None)] * terms)
+
+    box = np.full(terms, math.inf)
+    for k, e_k in enumerate(np.eye(terms)):
         try:
-            val, a = lp.linprog_mixed(-d, A_ub=A_ub, b_ub=b_ub,
-                                      bounds=[(None, None)] * terms)
-        except lp.Unbounded as exc:
-            raise DeltaLabError(f"degenerate grid: {exc}") from exc
-        if best is None or -val > best[0]:
-            best = (-val, float(t_star), tuple(float(x) for x in a))
+            box[k] = -solve(-e_k)[0]
+        except lp.LPError:
+            pass
 
-    grid_value, at, coeffs = best
+    t_nodes = np.linspace(0.0, s, grid_n)
+    d = [_derivative_row(lambdas, t_star) for t_star in t_nodes]
+    solved = {}
+
+    def objective(j):
+        try:
+            val, a = solve(-d[j])
+        except lp.LPError as exc:
+            raise DeltaLabError(f"degenerate grid: {exc}") from exc
+        solved[j] = (-val, tuple(float(x) for x in a))
+        return -val
+
+    coarse = sorted({*range(0, grid_n, _COARSE_STEP), grid_n - 1})
+    best = max(objective(j) for j in coarse)
+    for j in range(grid_n):
+        if j in solved:
+            continue
+        left = j - j % _COARSE_STEP
+        right = min(left + _COARSE_STEP, grid_n - 1)
+        bound = min(solved[i][0] + _spread(d[j], d[i], box) for i in (left, right))
+        if bound * (1 + 1e-6) + 1e-9 >= best:
+            best = max(best, objective(j))
+
+    j = max(sorted(solved), key=lambda i: solved[i][0])
+    grid_value, coeffs = solved[j]
+    at = float(t_nodes[j])
     p_hat = MuntzPolynomial(ladder, tuple((k + 1, as_fraction(c))
                                           for k, c in enumerate(coeffs)))
     enc = p_hat.sup_enclosure(1e-9)
     deriv = abs(p_hat.derivative_value(at))
     lower = deriv / enc.hi if enc.hi > 0 else 0.0
     return BernsteinResult(lower_bound=lower, grid_value=grid_value, at=at,
-                           coeffs=coeffs, norm_hi=enc.hi)
+                           coeffs=coeffs, norm_hi=enc.hi, lp_solves=solves)
 
 
 # ---------------------------------------------------------------------------

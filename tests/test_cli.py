@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import deltalab
-from deltalab import ck, cli, l1, muntz, serialize, sums
+from deltalab import ck, cli, l1, lp, muntz, serialize, sums
 from deltalab.core import VerificationError
 
 
@@ -194,6 +194,16 @@ def test_bernstein_command(capsys):
     assert code == 0
     res = json.loads(out)["results"][0]
     assert abs(float(res["lower_bound"]) - 1) < 1e-9
+
+
+def test_bernstein_lp_failure_exits_one(capsys, monkeypatch):
+    def fail(c, **kw):
+        raise lp.Infeasible("HiGHS gave up")
+
+    monkeypatch.setattr(lp, "linprog_mixed", fail)
+    code, out = run_cli(["bernstein", "--terms", "3", "--s", "0.5", "--grid", "16"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "DeltaLabError: degenerate grid: HiGHS gave up"
 
 
 def test_crosscheck_command(capsys):

@@ -402,6 +402,10 @@ def test_split_even_keeps_its_errors():
         l1.split_even(m, "nowhere", 3)
     with pytest.raises(l1.AtomIndivisibleError):
         l1.split_even(m, "c1", 2)
+    with pytest.raises(KeyError):
+        l1.split_even(m, "nowhere", 1)
+    with pytest.raises(l1.AtomIndivisibleError):
+        l1.split_even(m, "c1", 1)
     with pytest.raises(core.DeltaLabError, match="pieces"):
         l1.split_even(m, "c0", 0)
     res = l1.split_even(m, "c0", 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltalab import core, muntz
+from deltalab import core, lp, muntz
 
 LAD = muntz.ExponentLadder.squares()
 
@@ -316,6 +316,76 @@ def test_bernstein_monotone_in_s():
 def test_bernstein_degenerate_grid():
     with pytest.raises(core.DeltaLabError):
         muntz.bernstein_estimate(LAD, 3, 0.5, 2)
+
+
+def full_scan(ladder, terms, s, grid_n):
+    """Reference for bernstein_estimate: one cold LP per objective node,
+    the first maximum in grid order wins."""
+    lambdas = [float(ladder.lambda_at(k)) for k in range(1, terms + 1)]
+    t_grid = np.linspace(0.0, 1.0, grid_n)
+    T = np.stack([np.power(t_grid, lam) for lam in lambdas], axis=1)
+    best = None
+    for t_star in np.linspace(0.0, s, grid_n):
+        if t_star == 0.0:
+            d = np.array([lam if lam == 1 else 0.0 for lam in lambdas])
+        else:
+            d = np.array([lam * t_star ** (lam - 1) for lam in lambdas])
+        val, a = lp.linprog_mixed(-d, A_ub=np.vstack([T, -T]), b_ub=np.ones(2 * grid_n),
+                                  bounds=[(None, None)] * terms)
+        if best is None or -val > best[0]:
+            best = (-val, float(t_star), tuple(float(x) for x in a))
+    grid_value, at, coeffs = best
+    p_hat = muntz.MuntzPolynomial(ladder, tuple((k + 1, F(c)) for k, c in enumerate(coeffs)))
+    norm_hi = p_hat.sup_enclosure(1e-9).hi
+    return dict(grid_value=grid_value, at=at, coeffs=coeffs, norm_hi=norm_hi,
+                lower_bound=abs(p_hat.derivative_value(at)) / norm_hi)
+
+
+@pytest.mark.parametrize("terms", range(1, 9))
+def test_bernstein_pruned_scan_matches_the_full_scan(terms):
+    for s in (0.1, 0.3, 0.5, 0.9):
+        for grid_n in (16, 64, 97):
+            res = muntz.bernstein_estimate(LAD, terms, s, grid_n)
+            ref = full_scan(LAD, terms, s, grid_n)
+            assert {key: getattr(res, key) for key in ref} == ref, (s, grid_n)
+
+
+def test_bernstein_ties_are_never_pruned():
+    # one term: every node asks the same LP, so the first node wins
+    for s, grid_n in ((0.1, 16), (0.5, 64), (0.9, 97)):
+        res = muntz.bernstein_estimate(LAD, 1, s, grid_n)
+        assert res.at == 0
+        assert res.lp_solves == 1 + grid_n
+
+
+def test_bernstein_skips_nodes_that_cannot_win():
+    assert muntz.bernstein_estimate(LAD, 5, 0.5, 256).lp_solves <= 64
+
+
+def test_bernstein_failed_box_lps_prune_nothing(monkeypatch):
+    solve = lp.linprog_mixed
+    calls = []
+
+    def box_lps_fail(c, **kw):
+        calls.append(c)
+        if len(calls) <= 4:
+            raise lp.LPError("box LP failed")
+        return solve(c, **kw)
+
+    monkeypatch.setattr(lp, "linprog_mixed", box_lps_fail)
+    res = muntz.bernstein_estimate(LAD, 4, 0.5, 40)
+    assert res.lp_solves == len(calls) == 4 + 40
+    assert res.coeffs == full_scan(LAD, 4, 0.5, 40)["coeffs"]
+
+
+@pytest.mark.parametrize("error", [lp.LPError, lp.Infeasible, lp.Unbounded])
+def test_bernstein_failed_objective_lp_is_a_degenerate_grid(monkeypatch, error):
+    def fail(c, **kw):
+        raise error("HiGHS gave up")
+
+    monkeypatch.setattr(lp, "linprog_mixed", fail)
+    with pytest.raises(core.DeltaLabError, match="^degenerate grid: HiGHS gave up$"):
+        muntz.bernstein_estimate(LAD, 3, 0.5, 16)
 
 
 # ---------------------------------------------------------------------------
