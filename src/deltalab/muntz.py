@@ -702,7 +702,7 @@ def bernstein_estimate(ladder: ExponentLadder, terms: int, s, grid_n: int) -> Be
     |p(t_j)| <= 1 on a [0,1] grid, i.e. over the symmetric polytope
     P = {a : |T a| <= 1} with T the grid's power matrix.  The reported
     bound re-evaluates the optimizer with a certified sup norm, so grid
-    slack cannot inflate it.
+    slack cannot inflate it; an optimizer with no 1e-9 enclosure fails.
 
     Nodes that provably cannot win are skipped.  The node value
     v(t*) = h_P(d(t*)) is the support function of P, which is sublinear:
@@ -778,7 +778,10 @@ def bernstein_estimate(ladder: ExponentLadder, terms: int, s, grid_n: int) -> Be
     at = float(t_nodes[j])
     p_hat = MuntzPolynomial(ladder, tuple((k + 1, as_fraction(c))
                                           for k, c in enumerate(coeffs)))
-    enc = p_hat.sup_enclosure(1e-9)
+    try:
+        enc = p_hat.sup_enclosure(1e-9)
+    except CertificationError as exc:
+        raise DeltaLabError(f"no sup-norm enclosure of the LP optimizer: {exc}") from exc
     deriv = abs(p_hat.derivative_value(at))
     lower = deriv / enc.hi if enc.hi > 0 else 0.0
     return BernsteinResult(lower_bound=lower, grid_value=grid_value, at=at,

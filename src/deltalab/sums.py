@@ -5,10 +5,11 @@ exclusive features of N: positive octahedrality (some nonnegative unit pair
 adds norm-2 with both unit vectors; then Daugavet points survive the sum)
 and a separation property forcing one coordinate of near-far pairs below 1
 (then the sum has no Daugavet points at all, even when every sphere point of
-both components is a Delta point).  Octahedrality is decided exactly for
-l1, linf and polygonal norms; the separation property ships as a sufficient
-test (strict convexity) plus per-pair certified records, a necessary
-violation (octahedrality), and an honest UNDECIDED in between.
+both components is a Delta point).  Both are decided from closed forms for
+every norm the parser accepts: l1, linf and polygons with an exact witness
+are octahedral, and lp with 1 < p < inf is strictly convex, hence never
+octahedral and separating, with per-pair records whose eps is a float
+estimate.  Only a polygon without an octahedral witness stays UNDECIDED.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class AbsoluteNorm:
     """N(a,b) = N(|a|,|b|), N(1,0) = N(0,1) = 1.
 
     Kinds: "lp" with p in [1, inf] (exact for p = 1, inf; float otherwise)
-    and "polygonal" (gauge of a symmetric polygon, exact rationals).
-    Monotonicity in each coordinate is re-checked on a coarse grid at
-    construction.
+    and "polygonal" (gauge of a symmetric polygon, exact rationals).  Both
+    are monotone in each coordinate, as every absolute norm is (Bauer,
+    Stoer & Witzgall, Numer. Math. 3, 1961).
     """
 
     kind: str
@@ -113,16 +114,6 @@ class AbsoluteNorm:
                 raise DeltaLabError("polygon gauge is not normalized at the axes")
         else:
             raise DeltaLabError(f"unknown norm kind {self.kind!r}")
-        self._check_monotone_grid()
-
-    def _check_monotone_grid(self, steps=5, tol=1e-12):
-        vals = [Fraction(i, steps - 1) for i in range(steps)]
-        for i, a in enumerate(vals):
-            for j, b in enumerate(vals):
-                if i + 1 < steps and float(self(vals[i + 1], b)) < float(self(a, b)) - tol:
-                    raise DeltaLabError("norm is not monotone in the first coordinate")
-                if j + 1 < steps and float(self(a, vals[j + 1])) < float(self(a, b)) - tol:
-                    raise DeltaLabError("norm is not monotone in the second coordinate")
 
     # constructors ---------------------------------------------------------
     @classmethod
@@ -140,7 +131,8 @@ class AbsoluteNorm:
     @classmethod
     def lp(cls, p):
         p = float(p)
-        return cls(kind="lp", p=p, label=f"lp:{p:g}")
+        short = f"{p:g}"  # the label must parse back to the same p
+        return cls(kind="lp", p=p, label=f"lp:{short if float(short) == p else repr(p)}")
 
     @classmethod
     def polygon(cls, quadrant_vertices):
@@ -320,45 +312,50 @@ class OctahedralResult:
     exact: bool
 
 
-def verify_octahedral_witness(norm: AbsoluteNorm, a, b, tol=1e-9) -> bool:
-    na = float(norm(a, b))
-    return (abs(na - 1) <= tol
-            and float(norm(as_fraction(a) + 1, b)) >= 2 - tol
-            and float(norm(a, as_fraction(b) + 1)) >= 2 - tol)
+def verify_octahedral_witness(norm: AbsoluteNorm, a, b) -> bool:
+    """N(a,b) = 1 and N(a+1,b) = N(a,b+1) = 2, decided exactly; never for lp
+    with 1 < p < inf, which is strictly convex (Clarkson, Trans. AMS 40, 1936)."""
+    if norm.kind == "lp" and 1 < norm.p < math.inf:
+        return False
+    a, b = as_fraction(a), as_fraction(b)
+    return norm(a, b) == 1 and norm(a + 1, b) == 2 and norm(a, b + 1) == 2
 
 
-def is_positively_octahedral(norm: AbsoluteNorm, tol=None, grid_n=4096) -> OctahedralResult:
-    """Search for a nonnegative unit pair adding norm 2 with both unit
-    vectors; exact for l1/linf/polygonal, grid verdict otherwise."""
-    if norm.kind == "lp" and norm.p == 1.0:
-        return OctahedralResult(True, (Fraction(1), Fraction(0)), 2.0, True)
-    if norm.kind == "lp" and norm.p == math.inf:
-        return OctahedralResult(True, (Fraction(1), Fraction(1)), 2.0, True)
-    if norm.kind == "polygonal":
+def _octahedral_witness(norm: AbsoluteNorm):
+    """The first candidate that is an exact octahedral witness of N, or None."""
+    if norm.kind == "lp":
+        candidates = {1.0: [(1, 0)], math.inf: [(1, 1)]}.get(norm.p, [])
+    else:
         candidates = [v for v in norm.hull if v[0] >= 0 and v[1] >= 0]
         # a facet containing both axis points yields interior witnesses too
-        for nx, ny, c in norm.facets:
-            if nx * 1 + ny * 0 == c and nx * 0 + ny * 1 == c:
-                mid = (Fraction(1, 2), Fraction(1, 2))
-                candidates.append((mid[0] / norm(*mid), mid[1] / norm(*mid)))
-        for a, b in candidates:
-            if norm(a, b) == 1 and norm(a + 1, b) == 2 and norm(a, b + 1) == 2:
-                return OctahedralResult(True, (a, b), 2.0, True)
-
-    best, arg = -1.0, None
-    for a, b in _unit_arc(norm, grid_n):
-        v = min(float(norm(a + 1, b)), float(norm(a, b + 1)))
-        if v > best:
-            best, arg = v, (a, b)
-    if norm.kind == "polygonal":
-        return OctahedralResult(False, None, best, True)
-    tol = 1e-6 if tol is None else tol
-    return OctahedralResult(best >= 2 - tol, arg, best, False)
+        if any(nx == c and ny == c for nx, ny, c in norm.facets):
+            mid = Fraction(1, 2) / norm(Fraction(1, 2), Fraction(1, 2))
+            candidates.append((mid, mid))
+    return next(((as_fraction(a), as_fraction(b)) for a, b in candidates
+                 if verify_octahedral_witness(norm, a, b)), None)
 
 
-def _unit_arc(norm, n, stride=1):
-    """N-unit vectors at the angles pi/2 * i/n, i = 0, stride, ... <= n."""
-    for i in range(0, n + 1, stride):
+_POLYGON_VALUE_GRID = 4096  # unit-arc steps of a witness-free polygon's value
+
+
+def is_positively_octahedral(norm: AbsoluteNorm) -> OctahedralResult:
+    """Is there a nonnegative unit pair adding norm 2 with both unit vectors?
+    Exact for every kind.  `value` is 2 with a witness, N(1+s, s) at
+    s = 1/N(1,1) for other lp, and a grid maximum for other polygons."""
+    witness = _octahedral_witness(norm)
+    if witness is not None:
+        return OctahedralResult(True, witness, 2.0, True)
+    if norm.kind == "lp":
+        s = 1 / norm(1, 1)
+        return OctahedralResult(False, (s, s), float(norm(1 + s, s)), True)
+    best = max(min(float(norm(a + 1, b)), float(norm(a, b + 1)))
+               for a, b in _unit_arc(norm, _POLYGON_VALUE_GRID))
+    return OctahedralResult(False, None, best, True)
+
+
+def _unit_arc(norm, n):
+    """N-unit vectors at the angles pi/2 * i/n, i = 0, ..., n."""
+    for i in range(n + 1):
         th = math.pi / 2 * i / n
         ux, uy = math.cos(th), math.sin(th)
         nrm = float(norm(ux, uy))
@@ -373,10 +370,10 @@ def _unit_arc(norm, n, stride=1):
 class AlphaRecord:
     c: float
     d: float
-    eps: float
+    eps: float        # float estimate from unit-arc grids (see _alpha_record)
     radius: float
-    route: str       # "a": first coordinate bounded on W; "b": second
-    sup_bound: float  # certified sup of the bounded coordinate over W cap ball
+    route: str        # "a": first coordinate bounded on W; "b": second
+    sup_bound: float  # bounded coordinate + r: its sup over W, by monotonicity
 
 
 @dataclass(frozen=True)
@@ -384,7 +381,6 @@ class AlphaResult:
     verdict: Optional[bool]   # True / False / None = UNDECIDED
     note: str
     octahedral_witness: Optional[tuple]
-    strict_margin: Optional[float]
     sample_records: tuple
     norm: AbsoluteNorm = field(compare=False, repr=False, default=None)
     grid_n: int = field(compare=False, default=4096)
@@ -397,6 +393,9 @@ class AlphaResult:
 
 
 def _alpha_record(norm: AbsoluteNorm, c, d, grid_n) -> AlphaRecord:
+    """Record at the unit pair (c,d): `sup_bound` is proven by monotonicity;
+    `eps` is a float estimate from unit-arc grids, padded by the underived
+    slacks 9 * step and 6 * r * step."""
     cf, df = float(c), float(d)
     if abs(float(norm(cf, df)) - 1) > 1e-9:
         raise DeltaLabError("alpha records are issued for unit pairs (c,d)")
@@ -437,29 +436,26 @@ def _alpha_record(norm: AbsoluteNorm, c, d, grid_n) -> AlphaRecord:
         f"certified separation margin vanished at ({cf}, {df}); refine the grid")
 
 
-def has_property_alpha(norm: AbsoluteNorm, tol=None, grid_n=4096) -> AlphaResult:
-    """Three-way verdict: octahedral => False; grid-certified strict
-    convexity => True (with on-demand per-(c,d) records); else UNDECIDED.
-    """
-    octa = is_positively_octahedral(norm, tol=tol, grid_n=min(grid_n, 2048))
-    if octa.verdict:
-        return AlphaResult(False, "positively octahedral", octa.witness, None, (),
+def has_property_alpha(norm: AbsoluteNorm, grid_n=4096) -> AlphaResult:
+    """Verdict by kind: an octahedral witness => False; other lp (strictly
+    convex) => True, with the records at (1,0), (0,1), (s,s) that `grid_n`
+    reaches; a polygon without a witness => None (UNDECIDED)."""
+    witness = _octahedral_witness(norm)
+    if witness is not None:
+        return AlphaResult(False, "positively octahedral", witness, (),
                            norm=norm, grid_n=grid_n)
-
-    pts = list(_unit_arc(norm, grid_n, max(1, grid_n // 256)))
-    margin = math.inf
-    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-        mid = float(norm((ax + bx) / 2, (ay + by) / 2))
-        margin = min(margin, 1 - mid)
-    if margin > 1e-12:
-        samples = []
-        for cd in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
-            nrm = float(norm(*cd))
-            samples.append(_alpha_record(norm, cd[0] / nrm, cd[1] / nrm, grid_n))
-        return AlphaResult(True, "strictly convex on the sphere grid", None,
-                           margin, tuple(samples), norm=norm, grid_n=grid_n)
-    return AlphaResult(None, "neither octahedral nor grid-strictly-convex",
-                       None, margin, (), norm=norm, grid_n=grid_n)
+    if norm.kind != "lp":
+        return AlphaResult(None, "neither octahedral nor strictly convex",
+                           None, (), norm=norm, grid_n=grid_n)
+    s = 1 / norm(1, 1)
+    samples = []
+    for c, d in ((1.0, 0.0), (0.0, 1.0), (s, s)):
+        try:
+            samples.append(_alpha_record(norm, c, d, grid_n))
+        except InsufficientCertificateError:
+            pass
+    return AlphaResult(True, "strictly convex (lp, 1 < p < inf)", None,
+                       tuple(samples), norm=norm, grid_n=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +773,8 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
     """Sample the far set of z and verify the refutation quantitatively:
     every member's component norms sit in the record's W with the bounded
     coordinate <= 1 - delta, random convex combinations stay delta away from
-    the direction, and a scalarized-LP lower bound on the exact hull
-    distance clears delta - tol."""
+    the direction, and a scalarized-LP estimate of a lower bound on the
+    exact hull distance clears delta - tol."""
     record = refutation.record
     if eps is None:
         eps = record.eps
@@ -837,11 +833,11 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
 
 def hull_lower_bound_scalarized(point: SumPoint, members: Sequence[SumPoint],
                                 norm: AbsoluteNorm, n_dirs=33) -> float:
-    """Certified lower bound on the distance from `point` to the convex hull
-    of `members` in the sum norm, via LP duality: for each nonnegative
-    direction theta, min over the hull of theta . (px, py) divided by the
-    dual norm of theta bounds the distance from below.  It is one standard
-    form from `core.hull_norm_lp`; theta only reweighs its two costs."""
+    """Float estimate of a lower bound on the distance from `point` to the
+    convex hull of `members` in the sum norm: by LP duality, min over the
+    hull of theta . (px, py) over the dual norm of each nonnegative theta
+    bounds it from below, but these optima are raw HiGHS floats.  One
+    standard form from `core.hull_norm_lp`; theta reweighs its two costs."""
     a, b, (c_x, c_y) = hull_norm_lp(len(members), [
         type(point.x).hull_embedding([point.x] + [m.x for m in members]),
         type(point.y).hull_embedding([point.y] + [m.y for m in members])])

@@ -11,7 +11,7 @@ import pytest
 
 import deltalab
 from deltalab import ck, cli, l1, lp, muntz, serialize, sums
-from deltalab.core import VerificationError
+from deltalab.core import CertificationError, VerificationError
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -204,6 +204,19 @@ def test_bernstein_lp_failure_exits_one(capsys, monkeypatch):
     code, out = run_cli(["bernstein", "--terms", "3", "--s", "0.5", "--grid", "16"], capsys)
     assert code == 1
     assert json.loads(out)["error"] == "DeltaLabError: degenerate grid: HiGHS gave up"
+
+
+def test_bernstein_enclosure_failure_exits_one(capsys, monkeypatch):
+    # the command only estimates a constant: an optimizer it cannot enclose
+    # is a failed estimate (exit 1), not a failed re-verification (exit 2)
+    def fail(*args, **kw):
+        raise CertificationError("sup-norm enclosure not within 1e-09")
+
+    monkeypatch.setattr(muntz, "sup_abs_bb", fail)
+    code, out = run_cli(["bernstein", "--terms", "3", "--s", "0.5", "--grid", "16"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == ("DeltaLabError: no sup-norm enclosure of the LP "
+                                        "optimizer: sup-norm enclosure not within 1e-09")
 
 
 def test_crosscheck_command(capsys):

@@ -54,6 +54,11 @@ def test_norm_parse_round_trip():
         assert n.name() == spec or spec.startswith(n.kind)
     n = sums.AbsoluteNorm.parse("poly:[(1,0),(0.75,0.75),(0,1)]")
     assert n(1, 1) == F(4, 3)
+    # a point's JSON names its norm by a label that parses back to the same p
+    for spec in ("lp:1.000001", "lp:2.5", "lp:3"):
+        z = sums.SumPoint(ONE, ZERO, sums.AbsoluteNorm.parse(spec))
+        assert z.norm_rule.name() == spec
+        assert sums.decode_point(sums.encode_point(z)).norm_rule == z.norm_rule
 
 
 def test_dual_norms():
@@ -78,6 +83,21 @@ def test_sum_norm_absolute_and_normalized(a, b):
         assert n(a, b) == n(abs(a), abs(b)) == n(-a, b)
     z = sums.SumPoint(a * ONE, b * ONE, L1N)
     assert z.norm() == abs(a) + abs(b)
+
+
+@given(st.lists(st.tuples(st.fractions(F(0), F(3, 2), max_denominator=20),
+                          st.fractions(F(0), F(3, 2), max_denominator=20)), max_size=5),
+       st.fractions(F(0), F(3), max_denominator=20), st.fractions(F(0), F(3), max_denominator=20),
+       st.fractions(F(0), F(1), max_denominator=20))
+@settings(max_examples=100, deadline=None)
+def test_polygon_gauge_is_monotone(verts, a, b, t):
+    # every polygon the constructor accepts is absolute, hence monotone in
+    # each coordinate: shrinking one coordinate never raises the gauge
+    try:
+        norm = sums.AbsoluteNorm.polygon([(1, 0), (0, 1)] + verts)
+    except core.DeltaLabError:
+        return
+    assert norm(t * a, b) <= norm(a, b) and norm(a, t * b) <= norm(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +251,14 @@ def test_octahedral_exact_witnesses():
 
 def test_octahedral_l2_fails_with_gap():
     res = sums.is_positively_octahedral(L2N)
-    assert not res.verdict
-    assert abs(res.value - 2 * math.cos(math.pi / 8)) < 1e-6
-    assert res.value < 2 - 0.15
+    assert not res.verdict and res.exact
+    assert res.witness == (1 / math.sqrt(2), 1 / math.sqrt(2))
+    assert res.value == 1.8477590650225735
+    assert abs(res.value - 2 * math.cos(math.pi / 8)) < 1e-15
+    # strictly convex lp never is, however close its value comes to 2
+    for p in (1.000001, 1e6):
+        res = sums.is_positively_octahedral(sums.AbsoluteNorm.lp(p))
+        assert (res.verdict, res.exact) == (False, True) and res.value > 2 - 1e-6
     # a polygon without witness reports the grid maximum, labelled exact
     res = sums.is_positively_octahedral(OCTAGON)
     assert (res.verdict, res.witness, res.value, res.exact) == (False, None, 1.875, True)
@@ -246,6 +271,9 @@ def test_alpha_verdicts():
     assert sums.has_property_alpha(LINF).verdict is False
     assert sums.has_property_alpha(HEX).verdict is False
     assert sums.has_property_alpha(OCTAGON).verdict is None  # honest UNDECIDED
+    for p in (1.000001, 1e6, 100):
+        res = sums.has_property_alpha(sums.AbsoluteNorm.lp(p), grid_n=256)
+        assert (res.verdict, res.note) == (True, "strictly convex (lp, 1 < p < inf)")
 
 
 def test_alpha_and_octahedral_mutually_exclusive():
