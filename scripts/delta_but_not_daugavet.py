@@ -8,7 +8,9 @@ z = (x, y)/sqrt(2) with x = y = the constant-one sequence:
 * membership: a certified far family whose average approximates z, at two
   eps levels;
 * refutation: a separation record for the l2 norm, the direction the far
-  hull can never reach, and a sampled + LP-certified hull distance bound.
+  hull can never reach, and a sampled + LP-estimated hull distance bound.
+  The record's W bound, and with it delta = 1 - sup bound, is proven by
+  monotonicity; its eps is a float estimate from unit-arc grids.
 
 Run:  python scripts/delta_but_not_daugavet.py [seed]
 """
@@ -39,9 +41,9 @@ def main(seed: int = 0) -> None:
     alpha = sums.has_property_alpha(n2, grid_n=4096)
     print(f"l2 separation verdict: {alpha.verdict} ({alpha.note})")
     rec = alpha.record(a, a)
-    print(f"record at (1/sqrt2, 1/sqrt2): eps = {rec.eps:.5f}, "
+    print(f"record at (1/sqrt2, 1/sqrt2): eps = {rec.eps:.5f} (float estimate), "
           f"W radius = {rec.radius:.5f}, bounded side '{rec.route}' "
-          f"<= {rec.sup_bound:.5f}")
+          f"<= {rec.sup_bound:.5f} (proven, as is delta = 1 - it)")
 
     z = sums.SumPoint(as_fraction(a) * one, as_fraction(a) * one, n2)
     ref = sums.sum_refute_daugavet(z, rec)

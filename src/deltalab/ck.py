@@ -448,7 +448,7 @@ def c0_delta_empty_check(samples: Sequence[TailSequence]) -> C0Report:
 
 
 # ---------------------------------------------------------------------------
-# far families and samplers
+# far families and random unit points
 
 
 def delta_family(f: TailSequence, target: TailSequence, eps, gamma):
@@ -462,12 +462,12 @@ def delta_family(f: TailSequence, target: TailSequence, eps, gamma):
     return list(wit.members), [Fraction(1, m)] * m, f, target
 
 
-def random_unit(rng, prefix_len: int, grid=(-1, Fraction(-1, 2), 0, Fraction(1, 2), 1),
-                daugavet: Optional[bool] = None) -> TailSequence:
+def random_unit(rng, prefix_len: int, daugavet: Optional[bool] = None) -> TailSequence:
     """Random unit point of the c model with values on a coarse grid.
 
     daugavet=True forces |limit| = 1; daugavet=False forces |limit| < 1 with
     the norm attained on the prefix."""
+    grid = (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)
     for _ in range(256):
         prefix = tuple(Fraction(rng.choice(grid)) for _ in range(prefix_len))
         if daugavet is True:
@@ -483,15 +483,6 @@ def random_unit(rng, prefix_len: int, grid=(-1, Fraction(-1, 2), 0, Fraction(1, 
             continue
         return p
     raise DeltaLabError("failed to sample a unit point")
-
-
-def ball_sampler(prefix_len: int):
-    """Sampler of ball points for sampled slice diameters."""
-    def sample(rng):
-        prefix = tuple(Fraction(rng.randrange(-1000, 1001), 1000) for _ in range(prefix_len))
-        limit = Fraction(rng.randrange(-1000, 1001), 1000)
-        return TailSequence(prefix, limit, Variant.C)
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -540,29 +531,39 @@ def decompose_report(f, params) -> dict:
             "reconstruction_error": num_to_json(res.reconstruction_error)}
 
 
-def crosscheck_setup(x, tol, probes, rng, fresh):
+_CROSSCHECK_FAR_VERTICES = 48  # shared far cube vertices per eps row
+# witness families of 2/tol + 1 members of length about 2/tol: time and memory
+# grow as 1/tol^2 (one eps row: 5.5 s and 190 MB at 1/250 on a 2-core VM)
+_CROSSCHECK_MIN_TOL = Fraction(1, 500)
+
+
+def crosscheck_setup(x, tol, rng):
     """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`:
     vertices never suffice in a finite truncation, so each target gets
     shared far cube vertices plus, when x is a Daugavet point, the witness
     family aimed at it (a subset of the far set only raises distances, so
-    the test stays sound).  Its resolution 2/m for m = `fresh` sets the
-    defaults tol = 1e-2 and fresh = 2/tol + 1 (at least 8); probes default
-    to six random cube vertices and two unit points."""
+    the test stays sound).  Its resolution 2/m for m = 2/tol + 1 members
+    (at least 8) sets the default tol = 1e-2, and tol must be at least
+    _CROSSCHECK_MIN_TOL.  The probes are six random cube vertices and two
+    unit points.  Points of the finite sup-norm model (LINF_N) are refused:
+    the candidates are points of c."""
+    if x.variant is Variant.LINF_N:
+        raise DeltaLabError("ck crosscheck needs a point of c or c0, not LINF_N")
     tol = 1e-2 if tol is None else float(tol)
+    if tol < _CROSSCHECK_MIN_TOL:
+        raise DeltaLabError(f"ck crosscheck needs tol >= {_CROSSCHECK_MIN_TOL}, got {tol!r}")
     theorem, _ = is_daugavet_point_ck(x)
-    if fresh is None:
-        fresh = max(8, int(2 / tol) + 1)
-    if probes is None:
-        width = len(x.prefix) + 1
-        probes = [TailSequence(tuple(Fraction(rng.choice((-1, 1))) for _ in range(width)),
-                               Fraction(rng.choice((-1, 1)))) for _ in range(6)]
-        probes += [random_unit(rng, width) for _ in range(2)]
+    fresh = max(8, int(2 / tol) + 1)
+    width = len(x.prefix) + 1
+    probes = [TailSequence(tuple(Fraction(rng.choice((-1, 1))) for _ in range(width)),
+                           Fraction(rng.choice((-1, 1)))) for _ in range(6)]
+    probes += [random_unit(rng, width) for _ in range(2)]
 
-    def candidates(eps, n_far_vertices=48):
+    def candidates(eps):
         width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
         shared = []
-        for _ in range(n_far_vertices * 6):
-            if len(shared) >= n_far_vertices:
+        for _ in range(_CROSSCHECK_FAR_VERTICES * 6):
+            if len(shared) >= _CROSSCHECK_FAR_VERTICES:
                 break
             prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(width))
             v = TailSequence(prefix, Fraction(rng.choice((-1, 1))), Variant.C)

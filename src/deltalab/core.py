@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy  # scipy.sparse loads with the first LP matrix
@@ -59,9 +59,9 @@ class CertificationError(DeltaLabError):
     """A certified enclosure could not be tightened to the requested width."""
 
 
-def require_unit(point, tol=UNIT_TOL):
+def require_unit(point):
     n = point.norm()
-    if abs(n - 1) > tol:
+    if abs(n - 1) > UNIT_TOL:
         raise DeltaLabError(f"point must have unit norm, got {float(n)!r}")
 
 
@@ -112,8 +112,8 @@ class Slice:
         if abs(self.functional.dual_norm() - 1) > UNIT_TOL:
             raise DeltaLabError("slice functional must have dual norm 1")
 
-    def contains(self, point, tol=UNIT_TOL):
-        return point.norm() <= 1 + tol and self.functional(point) > 1 - self.eps
+    def contains(self, point):
+        return point.norm() <= 1 + UNIT_TOL and self.functional(point) > 1 - self.eps
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,11 @@ def hull_distances(tasks):
     return out
 
 
-def hull_distance_info(target, points, tol=1e-9, max_rounds=200):
+# Cutting-plane rounds of `hull_distance_info` on the sup-norm payloads.
+_HULL_MAX_ROUNDS = 200
+
+
+def hull_distance_info(target, points, tol=1e-9):
     """Distance from `target` to the convex hull of `points`, with weights.
 
     Polyhedral payloads reduce to one linear program, solved by the exact
@@ -425,7 +429,7 @@ def hull_distance_info(target, points, tol=1e-9, max_rounds=200):
     """
     embedding = _hull_embedding(target, points)
     if embedding is None:
-        return _hull_distance_exchange(target, points, tol, max_rounds)
+        return _hull_distance_exchange(target, points, tol)
     k = len(points)
     row, col, val, rhs, [cost] = hull_norm_rows(k, [embedding])
     rows = [[0] * len(cost) for _ in rhs]
@@ -436,7 +440,7 @@ def hull_distance_info(target, points, tol=1e-9, max_rounds=200):
                       iterations=1)
 
 
-def _hull_distance_exchange(target, points, tol, max_rounds):
+def _hull_distance_exchange(target, points, tol):
     sup_enclosure = getattr(type(target), "sup_enclosure", None)
     eval_u = getattr(type(target), "eval_u", None)
     if sup_enclosure is None or eval_u is None:
@@ -450,7 +454,7 @@ def _hull_distance_exchange(target, points, tol, max_rounds):
         nodes.append(enc.at_u)
     nodes = sorted(set(nodes))
 
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _HULL_MAX_ROUNDS + 1):
         # min t with |target(u) - sum lam p(u)| <= t on the nodes, sum lam = 1
         values = [[q.eval_u(u) for u in nodes] for q in (target, *points)]
         a, b, (cost,) = hull_norm_lp(k, [("winf", None, values)])
@@ -467,7 +471,7 @@ def _hull_distance_exchange(target, points, tol, max_rounds):
             nodes.extend([enc.at_u / 2, (enc.at_u + 1) / 2])
         nodes.append(enc.at_u)
         nodes = sorted(set(nodes))
-    raise CertificationError(f"hull distance gap > {tol} after {max_rounds} rounds")
+    raise CertificationError(f"hull distance gap > {tol} after {_HULL_MAX_ROUNDS} rounds")
 
 
 def convex_combination(points, weights):
@@ -490,9 +494,9 @@ def mean(points, counts=None):
     return Fraction(1, sum(counts)) * acc
 
 
-def hull_distance(target, points, tol=1e-9):
-    """min over convex weights of ||target - sum_i w_i p_i||, within tol."""
-    return hull_distance_info(target, points, tol=tol).value
+def hull_distance(target, points):
+    """min over convex weights of ||target - sum_i w_i p_i|| (`hull_distance_info`)."""
+    return hull_distance_info(target, points).value
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +567,13 @@ def crosspolytope_slice_vertices(masses, coeffs, thresh):
     return [tuple(v) for v in sorted(out)]
 
 
-def cube_slice_vertices(dim, weights, thresh, max_dim=14):
+_CUBE_MAX_DIM = 14  # cube slices enumerate 2^dim sign vectors
+
+
+def cube_slice_vertices(dim, weights, thresh):
     """Vertices of [-1,1]^dim cap {sum_j w_j y_j >= thresh}, exact."""
-    if dim > max_dim:
-        raise DeltaLabError(f"cube slice enumeration capped at dim {max_dim}, got {dim}")
+    if dim > _CUBE_MAX_DIM:
+        raise DeltaLabError(f"cube slice enumeration capped at dim {_CUBE_MAX_DIM}, got {dim}")
     weights = [as_fraction(w) for w in weights]
     thresh = as_fraction(thresh)
 
@@ -611,37 +618,18 @@ class SlicePolytope:
         return best
 
 
-def slice_diameter(slc: Slice, exact=True, sampler: Optional[Callable] = None,
-                   samples: int = 2000, rng=None):
-    """Diameter of a slice of the unit ball.
-
-    Exact mode enumerates the vertices of the closed slice polytope (the
-    diameter of a polytope is attained at a vertex pair).  Sampled mode
-    rejection-samples ball points through `sampler(rng)` and reports the best
-    pairwise distance found: a certified lower bound.
+def slice_diameter(slc: Slice):
+    """Exact diameter of a slice of the unit ball: it enumerates the vertices
+    of the closed slice polytope (the diameter of a polytope is attained at a
+    vertex pair).
     """
-    if exact:
-        build = getattr(slc.functional, "slice_polytope", None)
-        if build is None:
-            raise NotPolyhedralError("exact slice diameters need a polyhedral model")
-        poly = build(slc.eps)
-        if not poly.vertices:
-            raise EmptySliceError("no unit-ball point satisfies the slice")
-        return poly.diameter()
-    if sampler is None:
-        raise DeltaLabError("sampled slice diameter needs a ball sampler")
-    hits = []
-    for _ in range(samples):
-        p = sampler(rng)
-        if slc.contains(p):
-            hits.append(p)
-    if not hits:
-        raise EmptySliceError("sampler found no point of the slice")
-    best = 0.0
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            best = max(best, float((hits[i] - hits[j]).norm()))
-    return best
+    build = getattr(slc.functional, "slice_polytope", None)
+    if build is None:
+        raise NotPolyhedralError("exact slice diameters need a polyhedral model")
+    poly = build(slc.eps)
+    if not poly.vertices:
+        raise EmptySliceError("no unit-ball point satisfies the slice")
+    return poly.diameter()
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +652,13 @@ class SliceSearchReport:
     positive: bool
 
 
-def check_delta_via_slices(x, eps, slice_family: Sequence[Slice], search_budget: int = 64,
-                           generator: Optional[Callable] = None) -> SliceSearchReport:
+def check_delta_via_slices(x, eps, slice_family: Sequence[Slice]) -> SliceSearchReport:
     """For each slice containing x, hunt for y in the slice with
     ||x - y|| >= 2 - eps.
 
-    Polyhedral models search the slice polytope's vertices (exact); other
-    models fall back to a caller-supplied `generator(x, slc, eps, budget)`
-    yielding candidate slice points.  Slices where nothing is found within
-    the budget are reported NEGATIVE rather than raised.
+    Polyhedral models search the slice polytope's vertices (exact).  Slices
+    where nothing is found, and every slice of a model without a slice
+    polytope, are reported NEGATIVE rather than raised.
     """
     require_unit(x)
     eps = as_fraction(eps)
@@ -687,13 +673,6 @@ def check_delta_via_slices(x, eps, slice_family: Sequence[Slice], search_budget:
             lift = slc.functional.point_from_coords
             for vert in poly.vertices:
                 y = lift(vert)
-                d = (x - y).norm()
-                if best_d is None or d > best_d:
-                    best_y, best_d = y, d
-        elif generator is not None:
-            for y in itertools.islice(generator(x, slc, eps, search_budget), search_budget):
-                if not slc.contains(y):
-                    continue
                 d = (x - y).norm()
                 if best_d is None or d > best_d:
                     best_y, best_d = y, d

@@ -8,9 +8,10 @@ module builds a candidate subset of the far set far_eps(x), then decides
 * the Daugavet test: are all probe ball points within `tol` of that hull,
 
 and compares the aggregate (over the whole eps grid) with the space's
-theorem-based decision.  The model's `crosscheck_setup` (see `l1` and `ck`)
-gives that decision, the candidate sets and the defaults of `tol` and the
-probes.  Disagreements are reported, never raised.
+theorem-based decision.  The model's `crosscheck_setup(x, tol, rng)` (see
+`l1` and `ck`) gives that decision, the candidate sets of each eps and the
+default of `tol`; it draws the probes from `rng`.  Disagreements are
+reported, never raised.
 
 The candidate sets of every eps row are built first, then the whole grid is
 one call of `core.hull_distances`: per row, the anchor's LP and every
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import DeltaLabError, hull_distances, require_unit
 from .sums import space_hook
@@ -60,12 +61,13 @@ class CrosscheckReport:
         raise KeyError(eps)
 
 
-def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
-                                 seed: int = 0, fresh: Optional[int] = None) -> CrosscheckReport:
+def crosscheck_characterizations(x, eps_grid: Sequence, tol=None,
+                                 seed: int = 0) -> CrosscheckReport:
     """Compare hull-based far-set tests against the theorem decision.
 
     `tol` defaults to 1e-6 for L1 models (membership there is exact up to LP
-    rounding) and 1e-2 for sequence models (the witness-family resolution).
+    rounding) and 1e-2 for sequence models (the witness-family resolution,
+    at least 1/500).
     """
     require_unit(x)
     if tol is not None and not float(tol) > 0:
@@ -77,7 +79,7 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None, probes=None,
 
     setup = space_hook(getattr(x, "space", None), "crosscheck_setup",
                        DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)"))
-    tol, theorem, builder = setup(x, tol, probes, rng, fresh)
+    tol, theorem, builder = setup(x, tol, rng)
 
     # every row's candidates first, in grid order (only the builder draws
     # from rng), then one batch: per row with anchor members, the anchor and

@@ -495,7 +495,7 @@ def atom_slice(model: MeasureModel, atom_id: str, eps) -> AtomSliceResult:
     coeffs[i] = Fraction(1)
     phi = StepFunctional(model, tuple(coeffs))
     slc = Slice(phi, eps)
-    diam = slice_diameter(slc, exact=True)
+    diam = slice_diameter(slc)
     bound = 3 * eps
     if diam > bound:
         raise VerificationError(
@@ -650,10 +650,10 @@ def sample_far_members(f: StepFunction, eps, count: int, rng):
     return fl, out[:count]
 
 
-def random_unit(model: MeasureModel, rng, grid=(-2, -1, 0, 1, 2)) -> Optional[StepFunction]:
-    """Random unit-norm step function with values from a coarse grid."""
+def random_unit(model: MeasureModel, rng) -> Optional[StepFunction]:
+    """Random unit-norm step function with values in {-2, ..., 2}."""
     for _ in range(64):
-        vals = [Fraction(rng.choice(grid)) for _ in model.cells]
+        vals = [Fraction(rng.choice((-2, -1, 0, 1, 2))) for _ in model.cells]
         f = StepFunction(model, tuple(vals))
         nrm = f.norm()
         if nrm != 0:
@@ -699,23 +699,25 @@ def witness_report(f, eps, params, serialize) -> dict:
             "witness_cell": res.witness_cell}
 
 
-def crosscheck_setup(x, tol, probes, rng, fresh):
+_CROSSCHECK_MIXTURES = 4  # interior far mixtures per eps row of `crosscheck_setup`
+
+
+def crosscheck_setup(x, tol, rng):
     """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`: all
     targets share the refined model's far ball vertices and a few interior
     mixtures.  On the cross-polytope this is exact (distance zero or a
-    macroscopic gap), so tol defaults to 1e-6; probes default to the ball
-    vertices and two random unit points.  `fresh` is unused here."""
+    macroscopic gap), so tol defaults to 1e-6; the probes are the ball
+    vertices and two random unit points."""
     tol = 1e-6 if tol is None else float(tol)
     theorem, _ = is_daugavet_point_l1(x)
-    if probes is None:
-        probes = x.model.ball_vertices()
-        probes += [p for p in (random_unit(x.model, rng) for _ in range(2)) if p]
+    probes = x.model.ball_vertices()
+    probes += [p for p in (random_unit(x.model, rng) for _ in range(2)) if p]
 
-    def candidates(eps, extra_interior=4):
+    def candidates(eps):
         _, xl, members, lift = far_vertices(x, eps)
         added = 0
-        for _ in range(extra_interior * 8):
-            if added >= extra_interior or len(members) < 2:
+        for _ in range(_CROSSCHECK_MIXTURES * 8):
+            if added >= _CROSSCHECK_MIXTURES or len(members) < 2:
                 break
             i, j = rng.randrange(len(members)), rng.randrange(len(members))
             t = Fraction(rng.randrange(1, 1000), 1000)

@@ -39,6 +39,9 @@ from .core import (
 from .util import UNIT_TOL, as_fraction, sgn
 
 NORM_TOL = 1e-10
+_BB_MAX_NODES = 400_000  # branch-and-bound nodes of one `sup_abs_bb` call
+_PEAK_TOL = 1e-7         # a peak of `_locate_peaks` has |f| >= 1 - _PEAK_TOL
+_PEAK_SEPARATION = 1e-4  # of two peaks closer than this the right one is dropped
 
 
 class LadderExhaustedError(DeltaLabError):
@@ -64,7 +67,6 @@ class ExponentLadder:
     explicit: Optional[tuple] = None
     rule: Optional[Callable[[int], Fraction]] = None
     includes_constant: bool = False
-    summable: bool = True
 
     def __post_init__(self):
         if (self.explicit is None) == (self.rule is None):
@@ -85,9 +87,8 @@ class ExponentLadder:
         return cls(name="n^2", rule=_squares_rule)
 
     @classmethod
-    def from_list(cls, lambdas, includes_constant=False, summable=True) -> "ExponentLadder":
-        return cls(name="explicit", explicit=tuple(lambdas),
-                   includes_constant=includes_constant, summable=summable)
+    def from_list(cls, lambdas, includes_constant=False) -> "ExponentLadder":
+        return cls(name="explicit", explicit=tuple(lambdas), includes_constant=includes_constant)
 
     def lambda_at(self, k: int) -> Fraction:
         if k < 1:
@@ -177,8 +178,7 @@ def _split(a, b):
     return 0.5 * (a + b)
 
 
-def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
-               max_nodes=400_000) -> Enclosure:
+def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL) -> Enclosure:
     """Certified enclosure of sup |p| over t in [1-u_hi, 1-u_lo].
 
     Branch-and-bound with two interval bounds guarding each other: the
@@ -222,7 +222,7 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
     # bounds of intervals left unsplit (unsplittable or pruned): the sup may
     # sit in one of them, so `hi` must cover them all
     hi = dropped_hi = 0.0
-    for _ in range(max_nodes):
+    for _ in range(_BB_MAX_NODES):
         if not heap:
             break
         neg_ub, a, b = heapq.heappop(heap)
@@ -244,7 +244,8 @@ def sup_abs_bb(pairs, const=Fraction(0), u_lo=0.0, u_hi=1.0, tol=NORM_TOL,
             else:
                 dropped_hi = max(dropped_hi, child)
     else:
-        raise CertificationError(f"sup-norm enclosure not within {tol} after {max_nodes} nodes")
+        raise CertificationError(
+            f"sup-norm enclosure not within {tol} after {_BB_MAX_NODES} nodes")
 
     # Newton on p' = 0 from the best node; a step is kept only inside the
     # interval and where |p| does not drop, so `lo` stays an attained value
@@ -554,8 +555,7 @@ class MuntzWitness:
     flipped: bool
 
 
-def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
-                           norm_tol=NORM_TOL) -> MuntzWitness:
+def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta) -> MuntzWitness:
     """Far family around g for an endpoint-norming f (|f(1)| = 1).
 
     Builds m = ceil(2/delta) nested spikes on shrinking right neighborhoods
@@ -571,7 +571,7 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
     if not 0 < 3 * delta < eps:
         raise DeltaLabError("need 0 < 3*delta < eps")
     _require_certified_unit(f)
-    if g.sup_enclosure(norm_tol).hi > 1 + float(UNIT_TOL):
+    if g.sup_enclosure().hi > 1 + float(UNIT_TOL):
         raise DeltaLabError("g must lie in the unit ball")
     f1 = f.at_one()
     if abs(abs(f1) - 1) > UNIT_TOL:
@@ -599,8 +599,7 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta,
     thresholds = [u]
     spikes = []
     for i in range(m):
-        spike = spike_search(ff.ladder, eps=thresholds[-1], delta=delta / 2,
-                             norm_tol=norm_tol)
+        spike = spike_search(ff.ladder, eps=thresholds[-1], delta=delta / 2)
         spikes.append(spike)
         u_next = thresholds[-1] * 0.5
         for _ in range(4000):
@@ -820,20 +819,21 @@ class SeparationReport:
     eps: float
 
 
-def _locate_peaks(f: MuntzPolynomial, min_separation=1e-4, tol=1e-7):
+def _locate_peaks(f: MuntzPolynomial):
     """Interior points t where |f| attains its unit norm, increasing: the
-    midpoints of the zero pieces of f' at which |f| >= 1 - tol.  Of two
-    peaks closer than min_separation the right one is dropped."""
+    midpoints of the zero pieces of f' at which |f| >= 1 - _PEAK_TOL.  Of two
+    peaks closer than _PEAK_SEPARATION the right one is dropped."""
     peaks = []
     for a, b in reversed(_zero_pieces(_derivative_pairs(f.exponent_pairs()))):
         u = 0.5 * (a + b)
-        if abs(f.eval_u(u)) >= 1 - tol and not (peaks and 1 - u - peaks[-1] < min_separation):
+        if abs(f.eval_u(u)) >= 1 - _PEAK_TOL and not (
+                peaks and 1 - u - peaks[-1] < _PEAK_SEPARATION):
             peaks.append(1 - u)
     return peaks
 
 
 def separation_check_muntz(f: MuntzPolynomial, candidates: Sequence[MuntzPolynomial],
-                           eps, min_separation=1e-4) -> SeparationReport:
+                           eps) -> SeparationReport:
     """For |f(1)| < 1: each far candidate must beat distance 1 at a peak of
     |f|, and the batch stays a guaranteed hull distance > eps away from f.
 
@@ -849,7 +849,7 @@ def separation_check_muntz(f: MuntzPolynomial, candidates: Sequence[MuntzPolynom
     if abs(f1) >= 1 - UNIT_TOL:
         raise DeltaLabError("separation needs |f(1)| < 1")
 
-    peaks = _locate_peaks(f, min_separation)
+    peaks = _locate_peaks(f)
     if not peaks:
         raise CertificationError("could not locate any norm-attaining peak")
     m = len(peaks)
@@ -936,8 +936,7 @@ def _last_sign_change(pairs) -> float:
     return 1 - pieces[0][0] if pieces else 0.0
 
 
-def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
-                                 norm_tol=NORM_TOL) -> MuntzDecomposition:
+def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400) -> MuntzDecomposition:
     """Write f (strict norm deficit) as mu f+ + (1-mu) f- with f+-(1) = +-1,
     both parts certified inside the ball, and coefficient-exact
     reconstruction: f+- = f + (+-1 - f(1)) t^{lam_n} and mu = (f(1)+1)/2.
@@ -950,7 +949,7 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
     if cap < 0:
         raise DeltaLabError("decomposition needs cap >= 0")
     _require_constant_free(f.ladder)
-    enc = f.sup_enclosure(norm_tol)
+    enc = f.sup_enclosure()
     if not enc.hi < 1:
         raise DeltaLabError("decomposition needs a strict norm deficit (||f|| < 1)")
     s = 1 - enc.hi
@@ -958,8 +957,7 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
     if not f.terms:
         one = MuntzPolynomial.monomial(f.ladder, 1)
         return MuntzDecomposition(Fraction(1, 2), one, -one, 1, 1.0,
-                                  one.sup_enclosure(norm_tol),
-                                  one.sup_enclosure(norm_tol))
+                                  one.sup_enclosure(), one.sup_enclosure())
 
     pairs = f.exponent_pairs()
     dpairs = _derivative_pairs(pairs)
@@ -967,7 +965,7 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
     increasing = d_at_one > 0 or (
         d_at_one == 0 and f.derivative_value(1.0 - 1e-6) > 0)
     if increasing:
-        inner = convex_dld2p_decompose_muntz(-f, cap=cap, norm_tol=norm_tol)
+        inner = convex_dld2p_decompose_muntz(-f, cap=cap)
         return MuntzDecomposition(
             mu=1 - inner.mu, f_plus=-inner.f_minus, f_minus=-inner.f_plus,
             n=inner.n, deficit=inner.deficit,
@@ -988,8 +986,8 @@ def convex_dld2p_decompose_muntz(f: MuntzPolynomial, cap=400,
         mono = MuntzPolynomial.monomial(f.ladder, n)
         f_plus = f + (1 - f1) * mono
         f_minus = f - (1 + f1) * mono
-        enc_p = f_plus.sup_enclosure(norm_tol)
-        enc_m = f_minus.sup_enclosure(norm_tol)
+        enc_p = f_plus.sup_enclosure()
+        enc_m = f_minus.sup_enclosure()
         if enc_p.hi <= 1 + 1e-9 and enc_m.hi <= 1 + 1e-9:
             recon = mu * f_plus + (1 - mu) * f_minus
             if recon.terms != f.terms or recon.const != f.const:

@@ -37,6 +37,9 @@ from .core import (
 )
 from .util import UNIT_TOL, as_fraction
 
+_DIRICHLET_MAX_N = 1_000_000  # the Dirichlet scan gives up past this n
+_SCALARIZED_DIRS = 33         # directions theta of `hull_lower_bound_scalarized`
+
 
 class InsufficientCertificateError(DeltaLabError):
     pass
@@ -265,7 +268,7 @@ def _round_counts(a, d, n):
     return k
 
 
-def _dirichlet_scan(vectors, eps, n_max):
+def _dirichlet_scan(vectors, eps):
     """Smallest n (under the scan order) whose largest-remainder counts k
     sum to n with sum |w_i - k_i/n| < eps for every weight vector w.
 
@@ -276,7 +279,7 @@ def _dirichlet_scan(vectors, eps, n_max):
         raise DeltaLabError("eps must be positive")
     p, q = eps.numerator, eps.denominator
     ws = [_integer_weights(v) for v in vectors]
-    for n in range(1, n_max + 1):
+    for n in range(1, _DIRICHLET_MAX_N + 1):
         counts = []
         for a, d in ws:
             k = _round_counts(a, d, n)
@@ -288,15 +291,15 @@ def _dirichlet_scan(vectors, eps, n_max):
     raise DeltaLabError("dirichlet scan exhausted")
 
 
-def dirichlet_average(weights, eps, n_max=1_000_000):
+def dirichlet_average(weights, eps):
     """Smallest n with counts k_i summing to n and sum |w_i - k_i/n| < eps."""
-    n, (counts,) = _dirichlet_scan([weights], eps, n_max)
+    n, (counts,) = _dirichlet_scan([weights], eps)
     return n, counts
 
 
-def dirichlet_average_pair(weights_x, weights_y, eps, n_max=1_000_000):
+def dirichlet_average_pair(weights_x, weights_y, eps):
     """One common n making both weight vectors eps-close to k/n averages."""
-    n, (cx, cy) = _dirichlet_scan([weights_x, weights_y], eps, n_max)
+    n, (cx, cy) = _dirichlet_scan([weights_x, weights_y], eps)
     return n, cx, cy
 
 
@@ -412,13 +415,16 @@ def _alpha_record(norm: AbsoluteNorm, c, d, grid_n) -> AlphaRecord:
     # sup of N((a,b) + (c,d)) over the ball quadrant outside W; by coordinate
     # monotonicity the sup lives on the sphere arc outside W or on the part
     # of the W-boundary inside the ball.  Each 1-d arc gets a Lipschitz slack.
-    n = grid_n
-    for _ in range(4):
+    # Each grid holds the points of the one before, bit for bit, so the raw
+    # maxima `arc` and `bnd` only grow (and rounding is monotone, so padding a
+    # maximum pads every value): once the last grid's pads reach 2, stop.
+    last_step = math.pi / 2 / (grid_n * 4 ** 3)
+    arc = bnd = -math.inf
+    for n in (grid_n * 4 ** k for k in range(4)):
         step = math.pi / 2 / n
-        worst = 0.0
         for a, b in _unit_arc(norm, n):
             if float(norm(a - cf, b - df)) >= r:
-                worst = max(worst, float(norm(a + cf, b + df)) + 9 * step)
+                arc = max(arc, float(norm(a + cf, b + df)))
         for i in range(4 * n + 1):
             ps = 2 * math.pi * i / (4 * n)
             ux, uy = math.cos(ps), math.sin(ps)
@@ -426,12 +432,13 @@ def _alpha_record(norm: AbsoluteNorm, c, d, grid_n) -> AlphaRecord:
             a, b = cf + r * ux / nrm, df + r * uy / nrm
             if a < 0 or b < 0 or float(norm(a, b)) > 1:
                 continue
-            worst = max(worst, float(norm(a + cf, b + df)) + 6 * r * step)
-        eps = 2 - worst
+            bnd = max(bnd, float(norm(a + cf, b + df)))
+        eps = 2 - max(0.0, arc + 9 * step, bnd + 6 * r * step)
         if eps > 0:
             return AlphaRecord(c=cf, d=df, eps=eps, radius=r, route=route,
                                sup_bound=bounded + r)
-        n *= 4
+        if max(arc + 9 * last_step, bnd + 6 * r * last_step) >= 2:
+            break
     raise InsufficientCertificateError(
         f"certified separation margin vanished at ({cf}, {df}); refine the grid")
 
@@ -704,9 +711,10 @@ def sum_refute_daugavet(z: SumPoint, record: AlphaRecord,
     """Direction (w, 0) or (0, w) every far-set hull stays delta away from.
 
     delta = 1 - sup of the bounded coordinate over the record's
-    neighbourhood W; members of the far set have their component norms in W,
-    so convex combinations lose at least delta against a unit vector on the
-    bounded side."""
+    neighbourhood W, proven by monotonicity; members of the far set have
+    their component norms in W, so convex combinations lose at least delta
+    against a unit vector on the bounded side.  The scope eps <= `record.eps`
+    is a float estimate, not a certified bound."""
     c, d = float(z.x.norm()), float(z.y.norm())
     if abs(c - record.c) > 1e-9 or abs(d - record.d) > 1e-9:
         raise DeltaLabError("record was issued for a different (||x||, ||y||)")
@@ -759,8 +767,8 @@ def ck_far_member_sampler(z: SumPoint, eps):
 @dataclass(frozen=True)
 class HarnessReport:
     n_members: int
-    eps: float
-    delta: float
+    eps: float        # the sampled scope: at most record.eps, a float estimate
+    delta: float      # 1 - record.sup_bound, proven
     min_member_distance: float
     min_combo_distance: float
     lp_lower_bound: float
@@ -768,13 +776,13 @@ class HarnessReport:
 
 
 def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
-                       n_combos=200, seed=0, tol=1e-6, eps=None,
-                       member_sampler=None) -> HarnessReport:
-    """Sample the far set of z and verify the refutation quantitatively:
-    every member's component norms sit in the record's W with the bounded
-    coordinate <= 1 - delta, random convex combinations stay delta away from
-    the direction, and a scalarized-LP estimate of a lower bound on the
-    exact hull distance clears delta - tol."""
+                       n_combos=200, seed=0, tol=1e-6, eps=None) -> HarnessReport:
+    """Sample the far set of z (`ck_far_member_sampler`) and verify the
+    refutation quantitatively: every member's component norms sit in the
+    record's W with the bounded coordinate <= 1 - delta (proven), random
+    convex combinations stay delta away from the direction, and a
+    scalarized-LP estimate of a lower bound on the exact hull distance clears
+    delta - tol.  `eps` (at most `record.eps`) is a float estimate."""
     record = refutation.record
     if eps is None:
         eps = record.eps
@@ -782,7 +790,7 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
         raise InsufficientCertificateError(
             f"certificate scope: record covers eps <= {record.eps}, got {eps}")
     rng = random.Random(seed)
-    sampler = member_sampler or ck_far_member_sampler(z, eps)
+    sampler = ck_far_member_sampler(z, eps)
 
     members = []
     tries = 0
@@ -832,7 +840,7 @@ def refutation_harness(z: SumPoint, refutation: SumRefutation, n_members=200,
 
 
 def hull_lower_bound_scalarized(point: SumPoint, members: Sequence[SumPoint],
-                                norm: AbsoluteNorm, n_dirs=33) -> float:
+                                norm: AbsoluteNorm) -> float:
     """Float estimate of a lower bound on the distance from `point` to the
     convex hull of `members` in the sum norm: by LP duality, min over the
     hull of theta . (px, py) over the dual norm of each nonnegative theta
@@ -843,8 +851,8 @@ def hull_lower_bound_scalarized(point: SumPoint, members: Sequence[SumPoint],
         type(point.y).hull_embedding([point.y] + [m.y for m in members])])
 
     best = 0.0
-    for i in range(n_dirs):
-        th = math.pi / 2 * i / (n_dirs - 1)
+    for i in range(_SCALARIZED_DIRS):
+        th = math.pi / 2 * i / (_SCALARIZED_DIRS - 1)
         t1, t2 = math.cos(th), math.sin(th)
         val, _ = lp.simplex_float(t1 * c_x + t2 * c_y, a, b)
         dual = float(norm.dual(t1, t2))

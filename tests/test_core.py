@@ -362,7 +362,7 @@ def test_id_minus_rank1_ck_matches_brute_force(xvals, wvals, xlim, wlim):
 
 def test_slice_diameter_linf_square():
     phi = ck.SequenceFunctional((1, 0), 0, ck.Variant.LINF_N)
-    diam = core.slice_diameter(core.Slice(phi, F(1, 2)), exact=True)
+    diam = core.slice_diameter(core.Slice(phi, F(1, 2)))
     assert diam == 2  # (1,1) and (1,-1) are both in the slice
 
 
@@ -374,15 +374,7 @@ def test_slice_diameter_atom():
 
 def test_slice_diameter_whole_ball():
     phi = l1.StepFunctional(M2, (1, 0))
-    assert core.slice_diameter(core.Slice(phi, F(2)), exact=True) == 2
-
-
-def test_slice_diameter_sampled_mode():
-    phi = ck.SequenceFunctional((F(1, 2),), F(1, 2))
-    rng = random.Random(0)
-    lo = core.slice_diameter(core.Slice(phi, F(1, 2)), exact=False,
-                             sampler=ck.ball_sampler(2), samples=400, rng=rng)
-    assert lo <= 2 + 1e-12
+    assert core.slice_diameter(core.Slice(phi, F(2))) == 2
 
 
 @given(st.lists(st.fractions(F(-1), F(1)), min_size=1, max_size=3),
@@ -394,7 +386,7 @@ def test_slice_diameter_never_exceeds_two(weights, wlim, eps):
     if total == 0:
         return
     phi = ck.SequenceFunctional(tuple(w / total for w in weights), wlim / total)
-    diam = core.slice_diameter(core.Slice(phi, eps), exact=True)
+    diam = core.slice_diameter(core.Slice(phi, eps))
     assert diam <= 2
 
 
@@ -409,7 +401,7 @@ def test_c_model_slices_have_diameter_two(weights, wlim, eps):
     if total == 0:
         return
     phi = ck.SequenceFunctional(tuple(w / total for w in weights), wlim / total)
-    assert core.slice_diameter(core.Slice(phi, eps), exact=True) == 2
+    assert core.slice_diameter(core.Slice(phi, eps)) == 2
 
 
 def test_empty_slice_error():

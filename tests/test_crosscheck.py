@@ -90,3 +90,15 @@ def test_muntz_points_rejected():
     t = muntz.MuntzPolynomial(muntz.ExponentLadder.squares(), ((1, 1),))
     with pytest.raises(DeltaLabError, match=r"crosscheck needs a polyhedral model \(l1 or ck\)"):
         crosscheck.crosscheck_characterizations(t, GRID)
+
+
+def test_ck_crosscheck_bounds_its_witness_families():
+    # tol sets the witness family size (2/tol + 1 members), so it has a floor
+    x = ck.TailSequence((), 1)
+    with pytest.raises(DeltaLabError, match=r"ck crosscheck needs tol >= 1/500"):
+        crosscheck.crosscheck_characterizations(x, [F(1, 2)], tol=F(1, 501))
+    with pytest.raises(DeltaLabError, match=r"ck crosscheck needs tol >= 1/500"):
+        crosscheck.crosscheck_characterizations(x, [F(1, 2)], tol=1e-9)
+    linf = ck.TailSequence((1, 0), None, ck.Variant.LINF_N)
+    with pytest.raises(DeltaLabError, match="ck crosscheck needs a point of c or c0, not LINF_N"):
+        crosscheck.crosscheck_characterizations(linf, GRID)

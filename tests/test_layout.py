@@ -9,11 +9,13 @@ as `Rank1Operator` may be tested anywhere.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import deltalab
+from deltalab import sums
 
 MODELS = {"l1.py", "ck.py", "muntz.py", "sums.py"}
 PAYLOAD_CLASSES = {"StepFunction", "TailSequence", "MuntzPolynomial", "SumPoint",
@@ -118,3 +120,12 @@ def test_trusted_check_flags_a_decoder():
               "    return StepFunctional._from_coeffs(m, v)\n")
     assert trusted_uses(source) == ["line 2: _from_values", "line 4: _from_coeffs"]
     assert trusted_uses(source, codecs_only=True) == ["line 2: _from_values"]
+
+
+def test_crosscheck_setup_takes_point_tol_rng():
+    # the crosscheck protocol: every model that has it takes (x, tol, rng)
+    setups = {name: mod.crosscheck_setup for name, mod in sums.SPACES.items()
+              if hasattr(mod, "crosscheck_setup")}
+    assert sorted(setups) == ["ck", "l1"]
+    for setup in setups.values():
+        assert [*inspect.signature(setup).parameters] == ["x", "tol", "rng"]

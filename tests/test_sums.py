@@ -152,7 +152,7 @@ def test_integer_scan_matches_fraction_reference():
             raw = [rng.randint(1, rng.choice((2, 5, 30))) for _ in range(rng.randint(1, 8))]
             vectors.append([F(r, sum(raw)) for r in raw])
         eps = rng.choice((F(1), F(1, 2), F(1, 7), F(1, 30), F(1, 120)))
-        assert sums._dirichlet_scan(vectors, eps, 100_000) == _reference_scan(vectors, eps)
+        assert sums._dirichlet_scan(vectors, eps) == _reference_scan(vectors, eps)
     # n = 2 rounds half up to (0, 1, 1, 1); the surplus comes from a rounded-up count
     w = [F(1, 10), F(3, 10), F(3, 10), F(3, 10)]
     assert _reference_scan([w], 1) == (2, [(0, 0, 1, 1)])
@@ -197,7 +197,7 @@ def test_dirichlet_pair_common_count():
 def test_dirichlet_scans_need_positive_eps():
     w = [F(1, 3), F(2, 3)]
     with pytest.raises(core.DeltaLabError, match="eps must be positive"):
-        sums.dirichlet_average_pair(w, w, 0, n_max=10)
+        sums.dirichlet_average_pair(w, w, 0)
     with pytest.raises(core.DeltaLabError, match="eps must be positive"):
         sums.dirichlet_average(w, F(-1, 20))
     with pytest.raises(core.DeltaLabError, match="weights must sum to 1"):
@@ -298,6 +298,16 @@ def test_alpha_record_contents():
         sums.AlphaRecord(c=0.7071067811865475, d=0.7071067811865475,
                          eps=0.0019394548807616374, radius=0.14644660940672627,
                          route="a", sup_bound=0.8535533905932737))
+
+
+def test_alpha_record_stops_when_no_finer_grid_can_succeed(monkeypatch):
+    # lp:1e6 misses 2 by less than the last grid's pads at (1, 0): one scan
+    scans = []
+    arc = sums._unit_arc
+    monkeypatch.setattr(sums, "_unit_arc", lambda norm, n: scans.append(n) or arc(norm, n))
+    with pytest.raises(sums.InsufficientCertificateError, match="margin vanished"):
+        sums._alpha_record(sums.AbsoluteNorm.lp(1e6), 1.0, 0.0, 256)
+    assert scans == [256]
 
 
 def test_alpha_record_unavailable_when_undecided():
