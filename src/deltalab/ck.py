@@ -531,22 +531,50 @@ def decompose_report(f, params) -> dict:
             "reconstruction_error": num_to_json(res.reconstruction_error)}
 
 
-_CROSSCHECK_FAR_VERTICES = 48  # shared far cube vertices per eps row
-# witness families of 2/tol + 1 members of length about 2/tol: time and memory
-# grow as 1/tol^2 (one eps row: 5.5 s and 190 MB at 1/250 on a 2-core VM)
+_CROSSCHECK_FAR_VERTICES = 48  # shared far cube vertices drawn per eps row
+# witness families of 2/tol + 1 members, built and verified in full, then cut
+# to a few hull points by `_orbit_reduced`: one eps row of (1, 1, ...) takes
+# 0.8 s at tol 1/100, 1.4 s at 1/250 and 3.5 s at 1/500, each in 82 MB
+# (fresh process, 2-core VM); time still grows as 1/tol^2
 _CROSSCHECK_MIN_TOL = Fraction(1, 500)
 
 
+def _orbit_reduced(target: TailSequence, witness: CkWitness, width: int) -> list:
+    """Hull points exactly equivalent to `witness`'s members in a sup-norm
+    hull LP about `target` whose other points have prefixes of at most
+    `width` values.
+
+    Members whose fresh index is below `width` stay.  The other fresh
+    indices form an orbit S: the target and every other point equal their
+    limit there, so the LP is invariant under permutations of S and some
+    optimum weighs S's members equally (Bödi, Herr & Joswig, "Algorithms
+    for highly symmetric linear and integer programs", Math. Program. 137,
+    2013).  Their mean is the target with each index of S set to
+    c = (flip + (|S| - 1) lim target)/|S|, so the orbit's columns become
+    one, and its |S| equal rows one: the stand-in target.with_value(min S,
+    c).  The distance is unchanged."""
+    pairs = [*zip(witness.members, witness.fresh_indices)]
+    kept = [member for member, j in pairs if j < width]
+    orbit = [(member, j) for member, j in pairs if j >= width]
+    if orbit:
+        (member, j), n = orbit[0], len(orbit)
+        kept.append(target.with_value(j, (member.value_at(j) + (n - 1) * target.limit) / n))
+    return kept
+
+
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`:
-    vertices never suffice in a finite truncation, so each target gets
-    shared far cube vertices plus, when x is a Daugavet point, the witness
-    family aimed at it (a subset of the far set only raises distances, so
-    the test stays sound).  Its resolution 2/m for m = 2/tol + 1 members
-    (at least 8) sets the default tol = 1e-2, and tol must be at least
-    _CROSSCHECK_MIN_TOL.  The probes are six random cube vertices and two
-    unit points.  Points of the finite sup-norm model (LINF_N) are refused:
-    the candidates are points of c."""
+    """(tol, theorem verdict, eps -> tasks) for `crosscheck`: vertices never
+    suffice in a finite truncation, so each target gets shared far cube
+    vertices plus, when x is a Daugavet point, the witness family aimed at
+    it (a subset of the far set only raises distances, so the test stays
+    sound).  A task is (target, hull points, far candidate count): the hull
+    points are the distinct shared vertices and the family reduced by
+    `_orbit_reduced`, the count is every vertex drawn plus every member.
+    The family's resolution 2/m for m = 2/tol + 1 members (at least 8) sets
+    the default tol = 1e-2, and tol must be at least _CROSSCHECK_MIN_TOL.
+    The probes are six random cube vertices and two unit points.  Points of
+    the finite sup-norm model (LINF_N) are refused: the candidates are
+    points of c."""
     if x.variant is Variant.LINF_N:
         raise DeltaLabError("ck crosscheck needs a point of c or c0, not LINF_N")
     tol = 1e-2 if tol is None else float(tol)
@@ -560,20 +588,22 @@ def crosscheck_setup(x, tol, rng):
     probes += [random_unit(rng, width) for _ in range(2)]
 
     def candidates(eps):
-        width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
+        vertex_width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
         shared = []
         for _ in range(_CROSSCHECK_FAR_VERTICES * 6):
             if len(shared) >= _CROSSCHECK_FAR_VERTICES:
                 break
-            prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(width))
+            prefix = tuple(Fraction(rng.choice((-1, 1))) for _ in range(vertex_width))
             v = TailSequence(prefix, Fraction(rng.choice((-1, 1))), Variant.C)
             if (x - v).norm() >= 2 - eps:
                 shared.append(v)
+        distinct = [*dict.fromkeys(shared)]
 
-        def members_for(target):
-            own = list(shared)
-            if theorem:
-                own += list(daugavet_witness_ck(x, target, eps, fresh).members)
-            return own
-        return (x, members_for(x)), [(p, members_for(p)) for p in probes]
+        def task(target):
+            if not theorem:
+                return target, distinct, len(shared)
+            witness = daugavet_witness_ck(x, target, eps, fresh)
+            return (target, distinct + _orbit_reduced(target, witness, vertex_width),
+                    len(shared) + fresh)
+        return task(x), [task(p) for p in probes]
     return tol, theorem, candidates

@@ -9,17 +9,19 @@ module builds a candidate subset of the far set far_eps(x), then decides
 
 and compares the aggregate (over the whole eps grid) with the space's
 theorem-based decision.  The model's `crosscheck_setup(x, tol, rng)` (see
-`l1` and `ck`) gives that decision, the candidate sets of each eps and the
-default of `tol`; it draws the probes from `rng`.  Disagreements are
-reported, never raised.
+`l1` and `ck`) gives that decision, the tasks of each eps and the default
+of `tol`; it draws the probes from `rng`.  A task is (target, hull points,
+far candidate count): the hull points are the candidates, or fewer points
+whose hull LP has the same optimum (`ck` drops repeated vertices and
+replaces the symmetric part of a witness family by its mean), and the count
+is what a row reports.  Disagreements are reported, never raised.
 
-The candidate sets of every eps row are built first, then the whole grid is
-one call of `core.hull_distances`: per row, the anchor's LP and every
-probe's that has candidates.  Small LPs are stacked into one HiGHS solve (a
-whole L1 crosscheck is one solve), a large LP (a ck witness family) gets a
-solve of its own, and the LPs over one member list (every LP of an L1 row)
-share one float matrix.  Distances are HiGHS floats, so the verdicts are not
-exact.
+The tasks of every eps row are built first, then the whole grid is one call
+of `core.hull_distances`: per row, the anchor's LP and every probe's that
+has candidates.  Small LPs are stacked into one HiGHS solve (a whole L1
+crosscheck, and a whole ck one, is one solve), a large LP gets a solve of
+its own, and the LPs over one point list (every LP of an L1 row) share one
+float matrix.  Distances are HiGHS floats, so the verdicts are not exact.
 """
 
 from __future__ import annotations
@@ -88,17 +90,18 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None,
     tasks = []
     for _, anchor_task, probe_tasks in built:
         if anchor_task[1]:
-            tasks += [anchor_task] + [(p, m) for p, m in probe_tasks if m]
-    dists = iter(hull_distances(tasks))
+            tasks += [anchor_task] + [t for t in probe_tasks if t[1]]
+    dists = iter(hull_distances([(target, points) for target, points, _ in tasks]))
     rows = []
-    for eps, (anchor, anchor_members), probe_tasks in built:
-        if not anchor_members:
+    for eps, (_, anchor_points, anchor_count), probe_tasks in built:
+        if not anchor_points:
             rows.append(CrosscheckRow(eps, 0, float("inf"), (), False, False))
             continue
         d_delta = next(dists)
-        d_probes = tuple(next(dists) if m else float("inf") for _, m in probe_tasks)
+        d_probes = tuple(next(dists) if points else float("inf")
+                         for _, points, _ in probe_tasks)
         delta_ok = d_delta <= tol
-        n_cand = max([len(anchor_members)] + [len(m) for _, m in probe_tasks])
+        n_cand = max([anchor_count] + [count for *_, count in probe_tasks])
         rows.append(CrosscheckRow(
             eps, n_cand, d_delta, d_probes,
             delta_ok, delta_ok and all(d <= tol for d in d_probes)))

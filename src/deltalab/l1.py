@@ -703,7 +703,7 @@ _CROSSCHECK_MIXTURES = 4  # interior far mixtures per eps row of `crosscheck_set
 
 
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> candidate sets) for `crosscheck`: all
+    """(tol, theorem verdict, eps -> tasks) for `crosscheck`: all
     targets share the refined model's far ball vertices and a few interior
     mixtures.  On the cross-polytope this is exact (distance zero or a
     macroscopic gap), so tol defaults to 1e-6; the probes are the ball
@@ -725,5 +725,5 @@ def crosscheck_setup(x, tol, rng):
             if (xl - cand).norm() >= 2 - eps:
                 members.append(cand)
                 added += 1
-        return (xl, members), [(lift(p), members) for p in probes]
+        return (xl, members, len(members)), [(lift(p), members, len(members)) for p in probes]
     return tol, theorem, candidates

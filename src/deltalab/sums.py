@@ -351,17 +351,29 @@ def is_positively_octahedral(norm: AbsoluteNorm) -> OctahedralResult:
     if norm.kind == "lp":
         s = 1 / norm(1, 1)
         return OctahedralResult(False, (s, s), float(norm(1 + s, s)), True)
-    best = max(min(float(norm(a + 1, b)), float(norm(a, b + 1)))
+    gauge = _float_gauge(norm)
+    best = max(min(gauge(a + 1, b), gauge(a, b + 1))
                for a, b in _unit_arc(norm, _POLYGON_VALUE_GRID))
     return OctahedralResult(False, None, best, True)
 
 
+def _float_gauge(norm):
+    """N on floats, for the grid scans: the lp formula itself, and a
+    polygon's facets turned into floats once (N itself computes in
+    Fractions)."""
+    if norm.kind == "lp":
+        return lambda a, b: float(norm(a, b))
+    facets = [(float(nx), float(ny), float(c)) for nx, ny, c in norm.facets]
+    return lambda a, b: max((nx * abs(a) + ny * abs(b)) / c for nx, ny, c in facets)
+
+
 def _unit_arc(norm, n):
     """N-unit vectors at the angles pi/2 * i/n, i = 0, ..., n."""
+    gauge = _float_gauge(norm)
     for i in range(n + 1):
         th = math.pi / 2 * i / n
         ux, uy = math.cos(th), math.sin(th)
-        nrm = float(norm(ux, uy))
+        nrm = gauge(ux, uy)
         yield ux / nrm, uy / nrm
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from deltalab import ck, crosscheck, l1
+from deltalab import ck, core, crosscheck, l1
 from deltalab.core import DeltaLabError
 
 GRID = [F(1, 10), F(1, 2), F(1)]
@@ -102,3 +102,63 @@ def test_ck_crosscheck_bounds_its_witness_families():
     linf = ck.TailSequence((1, 0), None, ck.Variant.LINF_N)
     with pytest.raises(DeltaLabError, match="ck crosscheck needs a point of c or c0, not LINF_N"):
         crosscheck.crosscheck_characterizations(linf, GRID)
+
+
+def _ck_instance(seed, target_len, width=4, n_shared=6, m=8):
+    """A Daugavet point x of prefix length 1, a target g with `target_len`
+    prefix values, `n_shared` random cube vertices of prefix `width`, and
+    the witness family of m members aimed at g (fresh indices from
+    max(1, target_len) on)."""
+    rng = random.Random(seed)
+    x = ck.random_unit(rng, 1, daugavet=True)
+    g = ck.random_unit(rng, target_len)
+    shared = [ck.TailSequence(tuple(F(rng.choice((-1, 1))) for _ in range(width)),
+                              F(rng.choice((-1, 1)))) for _ in range(n_shared)]
+    return g, shared, ck.daugavet_witness_ck(x, g, F(1, 2), m)
+
+
+def _reduced(g, shared, witness, width=4):
+    return [*dict.fromkeys(shared)] + ck._orbit_reduced(g, witness, width)
+
+
+def test_ck_orbit_reduction_keeps_the_exact_distance():
+    # fresh indices past every shared prefix: the whole family is one orbit
+    for seed, want in ((0, F(1, 14)), (1, F(1, 34)), (2, F(0)), (7, F(1, 18))):
+        g, shared, wit = _ck_instance(seed, 5)
+        reduced = _reduced(g, shared, wit)
+        assert len(reduced) == len(set(shared)) + 1
+        assert core.hull_distance(g, shared + [*wit.members]) == want
+        assert core.hull_distance(g, reduced) == want
+
+
+def test_ck_orbit_reduction_keeps_members_the_shared_prefix_tells_apart():
+    # fresh indices 2, 3 lie inside the shared vertices' prefix (width 4):
+    # those members stay, and collapsing them into the family's mean anyway
+    # moves the exact distance
+    for seed, want, collapsed in ((1, F(1, 62), F(1, 36)), (2, F(9, 82), F(6, 43)),
+                                  (3, F(1, 40), F(1, 38)), (4, F(9, 62), F(3, 16))):
+        g, shared, wit = _ck_instance(seed, 2)
+        reduced = _reduced(g, shared, wit)
+        assert wit.fresh_indices[:2] == (2, 3)
+        assert reduced[-3:-1] == [*wit.members[:2]]
+        assert core.hull_distance(g, shared + [*wit.members]) == want
+        assert core.hull_distance(g, reduced) == want
+        assert core.hull_distance(g, shared + [wit.average]) == collapsed != want
+
+
+def test_heavy_ck_crosscheck_solves_small_lps(monkeypatch):
+    # a Daugavet point at the default tol: 48 shared vertices and 201
+    # witness members per target, cut to at most 64 hull points each
+    sizes = []
+    solve = crosscheck.hull_distances
+
+    def spy(tasks):
+        sizes.extend(len(points) for _, points in tasks)
+        return solve(tasks)
+    monkeypatch.setattr(crosscheck, "hull_distances", spy)
+    x = ck.TailSequence((F(1, 2), F(-1, 2)), -1)
+    rep = crosscheck.crosscheck_characterizations(x, [F(1, 10), F(1, 2)])
+    assert len(sizes) == 18 and max(sizes) <= 64
+    assert [r.n_candidates for r in rep.rows] == [249, 249]
+    assert rep.agree and rep.theorem_daugavet and rep.hull_delta and rep.hull_daugavet
+    assert all(r.delta_ok and r.daugavet_ok for r in rep.rows)

@@ -10,12 +10,14 @@ as `Rank1Operator` may be tested anywhere.
 
 import ast
 import inspect
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import deltalab
-from deltalab import sums
+from deltalab import ck, l1, sums
 
 MODELS = {"l1.py", "ck.py", "muntz.py", "sums.py"}
 PAYLOAD_CLASSES = {"StepFunction", "TailSequence", "MuntzPolynomial", "SumPoint",
@@ -129,3 +131,17 @@ def test_crosscheck_setup_takes_point_tol_rng():
     assert sorted(setups) == ["ck", "l1"]
     for setup in setups.values():
         assert [*inspect.signature(setup).parameters] == ["x", "tol", "rng"]
+    # each eps gives (anchor task, probe tasks); a task is (target, hull
+    # points, far candidate count), and the count is at least the points
+    model = l1.MeasureModel((("a", 1, "NONATOMIC"),))
+    points = {"l1": l1.StepFunction(model, (1,)), "ck": ck.TailSequence((0,), 1)}
+    for name, setup in setups.items():
+        _, theorem, builder = setup(points[name], None, random.Random(0))
+        anchor, probes = builder(Fraction(1, 2))
+        for target, hull_points, count in [anchor, *probes]:
+            assert target.space == name and isinstance(hull_points, list)
+            assert isinstance(count, int) and count >= len(hull_points) > 0
+        if name == "l1":  # every far candidate is a hull point
+            assert all(count == len(pts) for _, pts, count in [anchor, *probes])
+        else:  # a witness family's orbit is one hull point
+            assert theorem and all(count > len(pts) for _, pts, count in [anchor, *probes])
