@@ -532,63 +532,70 @@ def decompose_report(f, params) -> dict:
 
 
 _CROSSCHECK_FAR_VERTICES = 48  # shared far cube vertices drawn per eps row
-# witness families of 2/tol + 1 members, built and verified in full, then cut
-# to a few hull points by `_orbit_reduced`: one eps row of (1, 1, ...) takes
-# 0.8 s at tol 1/100, 1.4 s at 1/250 and 3.5 s at 1/500, each in 82 MB
-# (fresh process, 2-core VM); time still grows as 1/tol^2
+# m = 2/tol + 1/2 rounded up keeps the anchor's distance 2/m below tol by
+# tol^2/(4 + tol), about 1e-6 at 1/500: ten times the 1e-7 feasibility
+# tolerances of HiGHS, which decides the verdict when the margin is smaller
 _CROSSCHECK_MIN_TOL = Fraction(1, 500)
 
 
-def _orbit_reduced(target: TailSequence, witness: CkWitness, width: int) -> list:
-    """Hull points exactly equivalent to `witness`'s members in a sup-norm
-    hull LP about `target` whose other points have prefixes of at most
-    `width` values.
+def _orbit_hull(x: TailSequence, target: TailSequence, eps, m: int, width: int) -> list:
+    """Hull points exactly equivalent to the members of
+    `daugavet_witness_ck(x, target, eps, m)` in a sup-norm hull LP about
+    `target` whose other points have prefixes of at most `width` values.
 
-    Members whose fresh index is below `width` stay.  The other fresh
-    indices form an orbit S: the target and every other point equal their
-    limit there, so the LP is invariant under permutations of S and some
-    optimum weighs S's members equally (Bödi, Herr & Joswig, "Algorithms
-    for highly symmetric linear and integer programs", Math. Program. 137,
-    2013).  Their mean is the target with each index of S set to
-    c = (flip + (|S| - 1) lim target)/|S|, so the orbit's columns become
-    one, and its |S| equal rows one: the stand-in target.with_value(min S,
-    c).  The distance is unchanged."""
-    pairs = [*zip(witness.members, witness.fresh_indices)]
-    kept = [member for member, j in pairs if j < width]
-    orbit = [(member, j) for member, j in pairs if j >= width]
+    The members are target.with_value(j, -lim x) for the m fresh indices j
+    from start = max(len(x.prefix), len(target.prefix)) on.  Those below
+    `width` are written as they are.  The others form an orbit S: the
+    target and every other point equal their limit there, so the LP is
+    invariant under permutations of S and some optimum weighs S's members
+    equally (Bödi, Herr & Joswig, "Algorithms for highly symmetric linear
+    and integer programs", Math. Program. 137, 2013).  Their mean is the
+    target with each index of S set to c = (-lim x + (|S| - 1) lim
+    target)/|S|, so the orbit's columns become one, and its |S| equal rows
+    one: the stand-in target.with_value(min S, c).  The distance is
+    unchanged.  Each written member, and one member of S, is checked to be
+    in the ball and at least 2 - eps from x."""
+    start = max(len(x.prefix), len(target.prefix))
+    flip, first = -x.limit, max(start, width)
+    kept = [target.with_value(j, flip) for j in range(start, min(start + m, first))]
+    n = start + m - first
+    orbit = [target.with_value(first, flip)] if n > 0 else []
+    for member in kept + orbit:
+        if member.norm() > 1 or x.distance(member) < 2 - eps:
+            raise VerificationError("witness member left the unit ball or came within 2 - eps")
     if orbit:
-        (member, j), n = orbit[0], len(orbit)
-        kept.append(target.with_value(j, (member.value_at(j) + (n - 1) * target.limit) / n))
+        kept.append(target.with_value(first, (flip + (n - 1) * target.limit) / n))
     return kept
 
 
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> tasks) for `crosscheck`: vertices never
-    suffice in a finite truncation, so each target gets shared far cube
-    vertices plus, when x is a Daugavet point, the witness family aimed at
-    it (a subset of the far set only raises distances, so the test stays
-    sound).  A task is (target, hull points, far candidate count): the hull
-    points are the distinct shared vertices and the family reduced by
-    `_orbit_reduced`, the count is every vertex drawn plus every member.
-    The family's resolution 2/m for m = 2/tol + 1 members (at least 8) sets
-    the default tol = 1e-2, and tol must be at least _CROSSCHECK_MIN_TOL.
-    The probes are six random cube vertices and two unit points.  Points of
-    the finite sup-norm model (LINF_N) are refused: the candidates are
-    points of c."""
+    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`:
+    vertices never suffice in a finite truncation, so each target gets the
+    distinct ones of the shared far cube vertices plus, when x is a Daugavet
+    point, the witness family of m = 2/tol + 1/2 members (at least 8) aimed
+    at it, cut to a few hull points by `_orbit_hull` (a subset of the far
+    set only raises distances, so the test stays sound).  The targets of a
+    non-Daugavet point share one group; a Daugavet point has a group per
+    target.  The count is every vertex drawn plus, for a Daugavet point,
+    m.  The family's resolution 2/m sets the default tol = 1e-2, and tol
+    must be at least _CROSSCHECK_MIN_TOL.  The probes are six random cube
+    vertices and two unit points.  Points of the finite sup-norm model
+    (LINF_N) are refused: the candidates are points of c."""
     if x.variant is Variant.LINF_N:
         raise DeltaLabError("ck crosscheck needs a point of c or c0, not LINF_N")
     tol = 1e-2 if tol is None else float(tol)
     if tol < _CROSSCHECK_MIN_TOL:
         raise DeltaLabError(f"ck crosscheck needs tol >= {_CROSSCHECK_MIN_TOL}, got {tol!r}")
     theorem, _ = is_daugavet_point_ck(x)
-    fresh = max(8, int(2 / tol) + 1)
+    m = max(8, math.ceil(2 / tol + 1 / 2))
     width = len(x.prefix) + 1
     probes = [TailSequence(tuple(Fraction(rng.choice((-1, 1))) for _ in range(width)),
                            Fraction(rng.choice((-1, 1)))) for _ in range(6)]
     probes += [random_unit(rng, width) for _ in range(2)]
+    targets = [x, *probes]
+    vertex_width = width + 2  # past every target's prefix
 
     def candidates(eps):
-        vertex_width = max(len(x.prefix), max((len(p.prefix) for p in probes), default=0)) + 2
         shared = []
         for _ in range(_CROSSCHECK_FAR_VERTICES * 6):
             if len(shared) >= _CROSSCHECK_FAR_VERTICES:
@@ -598,12 +605,8 @@ def crosscheck_setup(x, tol, rng):
             if (x - v).norm() >= 2 - eps:
                 shared.append(v)
         distinct = [*dict.fromkeys(shared)]
-
-        def task(target):
-            if not theorem:
-                return target, distinct, len(shared)
-            witness = daugavet_witness_ck(x, target, eps, fresh)
-            return (target, distinct + _orbit_reduced(target, witness, vertex_width),
-                    len(shared) + fresh)
-        return task(x), [task(p) for p in probes]
+        if not theorem:
+            return len(shared), [(distinct, targets)]
+        return len(shared) + m, [(distinct + _orbit_hull(x, t, eps, m, vertex_width), [t])
+                                 for t in targets]
     return tol, theorem, candidates

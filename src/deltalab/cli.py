@@ -286,11 +286,15 @@ def main(argv=None) -> int:
         return 1
     report, code = run(config)
     text = _emit(report, config)
-    if config.out:
+    if not config.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # an unwritable --out is a usage error, like an unreadable @file
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

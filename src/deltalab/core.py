@@ -320,43 +320,29 @@ def hull_norm_lp(k, embeddings):
     return _Block(costs[0], row, col, val, rhs).matrix(), rhs, costs
 
 
-def _hull_embedding(target, points):
-    """`hull_embedding` of [target, *points] after the nonempty and
+def _hull_embedding(targets, points):
+    """`hull_embedding` of [*targets, *points] after the nonempty and
     same-space checks; None for payloads without a polyhedral embedding."""
     if not points:
         raise DeltaLabError("hull_distance needs a nonempty point list")
-    spaces = {p.space for p in points} | {target.space}
+    spaces = {p.space for p in (*targets, *points)}
     if len(spaces) != 1:
         raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
-    embed = getattr(type(target), "hull_embedding", None)
-    return None if embed is None else embed([target, *points])
-
-
-def _reused_values(target, points, length):
-    """The target's embedded values for a task on the already embedded
-    `points`, or None when they do not have `length`.  It embeds the target
-    beside points[0] alone: the points were checked against each other, so
-    this makes the same space and model checks as the full embedding.  On a
-    hit the full embedding has this length too: it is at least this one and
-    at most the cached one."""
-    spaces = {target.space, points[0].space}
-    if len(spaces) != 1:
-        raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
-    _, _, (values, _) = type(target).hull_embedding([target, points[0]])
-    return values if len(values) == length else None
+    embed = getattr(type(points[0]), "hull_embedding", None)
+    return None if embed is None else embed([*targets, *points])
 
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
 # stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
 # crosscheck LP has at most 150 nonzeros and a whole crosscheck (three eps
-# rows) at most 2,706.  A ck crosscheck LP, its witness family reduced to an
-# orbit mean, has about 320, and the heaviest ck crosscheck of
-# `cli_requests` (two eps rows, 18 LPs) 5,716.  Stacking large LPs costs
-# memory: with full witness families (about 52k nonzeros each) a stack of
-# every LP of an eps row raised the peak RSS of `cli_requests` from 108 to
-# 197 MB (2-core VM).  So 20k stacks a whole crosscheck on the benchmark
-# inputs and leaves each large LP (a fine L1 refinement's far set) a solve
-# of its own.
+# rows) at most 2,706.  A ck crosscheck LP, its witness family written as
+# `ck._orbit_hull`'s few points, has about 320, and the heaviest ck
+# crosscheck of `cli_requests` (two eps rows, 18 LPs) 5,716.  Stacking large
+# LPs costs memory: with full witness families (about 52k nonzeros each) a
+# stack of every LP of an eps row raised the peak RSS of `cli_requests` from
+# 108 to 197 MB (2-core VM).  So 20k stacks a whole crosscheck on the
+# benchmark inputs and leaves each large LP (a fine L1 refinement's far set)
+# a solve of its own.
 _STACK_NNZ = 20_000
 
 
@@ -378,39 +364,33 @@ def _solve_blocks(blocks):
     return [math.fsum(b.cost * z[j:j + len(b.cost)]) for b, j in zip(blocks, col_off)]
 
 
-def hull_distances(tasks):
-    """Float hull distances on the polyhedral models, one per (target,
-    points) task, in order.
+def hull_distances(groups):
+    """Float hull distances on the polyhedral models: for each (points,
+    targets) group, the distance of every target to the hull of `points`,
+    flat and in order.
 
-    Consecutive tasks share one HiGHS solve of their block-diagonal stack
-    while it stays within _STACK_NNZ nonzeros; a larger LP runs alone.  A
-    task whose `points` is the very list of the task before, embedded at the
-    same length, reuses that task's float block: an embedded vector depends
-    only on its point and the length.  Only the rhs rows of the target, the
-    first ones, take the new target's values, and only the target is
-    embedded again unless the length may differ."""
-    out, stack, nnz, last = [], [], 0, None
-    for target, points in tasks:
-        reuse = last is not None and last[0] is points
-        values = _reused_values(target, points, last[1]) if reuse else None
-        if values is None:
-            embedding = _hull_embedding(target, points)
-            if embedding is None:
-                raise NotPolyhedralError(f"{type(target).__name__} has no polyhedral embedding")
-            _, _, (values, *_) = embedding
-            reuse = reuse and last[1] == len(values)
-        if reuse:
-            block = last[2]._replace(rhs=last[2].rhs.copy())
+    A group is embedded once, targets and points together (so each target
+    passes the space and model checks), and its LP is built once: each
+    target's block shares the matrix and writes its own values into the
+    rhs rows of the target, the first ones.  Consecutive blocks share one
+    HiGHS solve of their block-diagonal stack while it stays within
+    _STACK_NNZ nonzeros; a larger LP runs alone."""
+    out, stack, nnz = [], [], 0
+    for points, targets in groups:
+        embedding = _hull_embedding(targets, points)
+        if embedding is None:
+            raise NotPolyhedralError(f"{type(points[0]).__name__} has no polyhedral embedding")
+        kind, weights, vectors = embedding
+        row, col, val, rhs, [cost] = hull_norm_floats(
+            len(points), [(kind, weights, vectors[:1] + vectors[len(targets):])])
+        for values in vectors[:len(targets)]:
+            block = _Block(cost, row, col, val, rhs.copy())
             block.rhs[:len(values)] = [float(v) for v in values]
-        else:
-            row, col, val, rhs, [cost] = hull_norm_floats(len(points), [embedding])
-            block = _Block(cost, row, col, val, rhs)
-        last = points, len(values), block
-        if stack and nnz + len(block.val) > _STACK_NNZ:
-            out += _solve_blocks(stack)
-            stack, nnz = [], 0
-        stack.append(block)
-        nnz += len(block.val)
+            if stack and nnz + len(val) > _STACK_NNZ:
+                out += _solve_blocks(stack)
+                stack, nnz = [], 0
+            stack.append(block)
+            nnz += len(val)
     if stack:
         out += _solve_blocks(stack)
     return out
@@ -430,7 +410,7 @@ def hull_distance_info(target, points, tol=1e-9):
     achieved residual gives an upper bound, and nodes are added until the
     gap is at most `tol`.
     """
-    embedding = _hull_embedding(target, points)
+    embedding = _hull_embedding([target], points)
     if embedding is None:
         return _hull_distance_exchange(target, points, tol)
     k = len(points)

@@ -9,19 +9,21 @@ module builds a candidate subset of the far set far_eps(x), then decides
 
 and compares the aggregate (over the whole eps grid) with the space's
 theorem-based decision.  The model's `crosscheck_setup(x, tol, rng)` (see
-`l1` and `ck`) gives that decision, the tasks of each eps and the default
-of `tol`; it draws the probes from `rng`.  A task is (target, hull points,
-far candidate count): the hull points are the candidates, or fewer points
-whose hull LP has the same optimum (`ck` drops repeated vertices and
-replaces the symmetric part of a witness family by its mean), and the count
-is what a row reports.  Disagreements are reported, never raised.
+`l1` and `ck`) gives that decision, the default of `tol` and a builder that
+maps each eps to (count, groups); it draws the probes from `rng`.  `count`
+is the number of far candidates the row reports, 0 for a row without any.
+A group is (hull points, targets): the hull points are the candidates, or
+fewer points whose hull LPs have the same optima (`ck` drops repeated
+vertices and writes each witness family's symmetric part as its mean), and
+the first target of the first group is x itself.  Disagreements are
+reported, never raised.
 
-The tasks of every eps row are built first, then the whole grid is one call
-of `core.hull_distances`: per row, the anchor's LP and every probe's that
-has candidates.  Small LPs are stacked into one HiGHS solve (a whole L1
-crosscheck, and a whole ck one, is one solve), a large LP gets a solve of
-its own, and the LPs over one point list (every LP of an L1 row) share one
-float matrix.  Distances are HiGHS floats, so the verdicts are not exact.
+The groups of every eps row are built first, then the whole grid is one
+call of `core.hull_distances`, one LP per target.  The targets of a group
+share one float matrix, and small LPs are stacked into one HiGHS solve (a
+whole L1 crosscheck, and a whole ck one, is one solve); a large LP gets a
+solve of its own.  Distances are HiGHS floats, so the verdicts are not
+exact.
 """
 
 from __future__ import annotations
@@ -84,27 +86,19 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None,
     tol, theorem, builder = setup(x, tol, rng)
 
     # every row's candidates first, in grid order (only the builder draws
-    # from rng), then one batch: per row with anchor members, the anchor and
-    # every probe with members
+    # from rng), then one batch of every row with candidates; a row's first
+    # target is its anchor x, the others are the probes
     built = [(eps, *builder(eps)) for eps in eps_grid]
-    tasks = []
-    for _, anchor_task, probe_tasks in built:
-        if anchor_task[1]:
-            tasks += [anchor_task] + [t for t in probe_tasks if t[1]]
-    dists = iter(hull_distances([(target, points) for target, points, _ in tasks]))
+    dists = iter(hull_distances([g for _, count, groups in built if count for g in groups]))
     rows = []
-    for eps, (_, anchor_points, anchor_count), probe_tasks in built:
-        if not anchor_points:
+    for eps, count, groups in built:
+        if not count:
             rows.append(CrosscheckRow(eps, 0, float("inf"), (), False, False))
             continue
-        d_delta = next(dists)
-        d_probes = tuple(next(dists) if points else float("inf")
-                         for _, points, _ in probe_tasks)
+        d_delta, *d_probes = [next(dists) for _, targets in groups for _ in targets]
         delta_ok = d_delta <= tol
-        n_cand = max([anchor_count] + [count for *_, count in probe_tasks])
-        rows.append(CrosscheckRow(
-            eps, n_cand, d_delta, d_probes,
-            delta_ok, delta_ok and all(d <= tol for d in d_probes)))
+        rows.append(CrosscheckRow(eps, count, d_delta, tuple(d_probes),
+                                  delta_ok, delta_ok and all(d <= tol for d in d_probes)))
 
     hull_delta = all(r.delta_ok for r in rows)
     hull_daugavet = all(r.daugavet_ok for r in rows)

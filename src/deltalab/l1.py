@@ -703,9 +703,9 @@ _CROSSCHECK_MIXTURES = 4  # interior far mixtures per eps row of `crosscheck_set
 
 
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> tasks) for `crosscheck`: all
-    targets share the refined model's far ball vertices and a few interior
-    mixtures.  On the cross-polytope this is exact (distance zero or a
+    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`: all
+    targets share one group, the refined model's far ball vertices and a few
+    interior mixtures.  On the cross-polytope this is exact (distance zero or a
     macroscopic gap), so tol defaults to 1e-6; the probes are the ball
     vertices and two random unit points."""
     tol = 1e-6 if tol is None else float(tol)
@@ -725,5 +725,5 @@ def crosscheck_setup(x, tol, rng):
             if (xl - cand).norm() >= 2 - eps:
                 members.append(cand)
                 added += 1
-        return (xl, members, len(members)), [(lift(p), members, len(members)) for p in probes]
+        return len(members), [(members, [xl, *map(lift, probes)])]
     return tol, theorem, candidates

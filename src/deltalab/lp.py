@@ -8,9 +8,9 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
   only the public ``hull_distance[_info]`` reach.
 * ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
   dense or scipy-sparse.  ``core.hull_distances`` passes block-diagonal
-  stacks of small hull LPs (every crosscheck distance), and
-  ``sums.hull_lower_bound_scalarized`` and the Muntz master LP of
-  ``core._hull_distance_exchange`` one LP each.
+  stacks of small hull LPs, one per target of its (points, targets)
+  groups (every crosscheck distance), and ``sums.hull_lower_bound_scalarized``
+  and the Muntz master LP of ``core._hull_distance_exchange`` one LP each.
 
 The hull LPs that feed both share one layout: ``core.hull_norm_rows``
 writes it exactly for ``simplex_exact``, ``core.hull_norm_floats`` in

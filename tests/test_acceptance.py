@@ -124,7 +124,7 @@ def test_criterion_03_l1_atom_refutation():
             rng = random.Random(2024)
             fl, members = l1.sample_far_members(f, res.eps_used, 1000, rng)
             assert len(members) == 1000
-            dist = core.hull_distances([(fl, members)])[0]
+            dist = core.hull_distances([(members, [fl])])[0]
             assert dist >= float(res.bound) - 1e-9
 
 

@@ -364,6 +364,26 @@ def test_out_file(tmp_path, capsys):
     assert rep["results"][0]["witness"] == ["1", "0"]
 
 
+def test_out_file_holds_the_stdout_report(tmp_path, capsys):
+    argv = ["certify", "--space", "ck", "--point", '{"prefix":[1,0.5],"limit":0}']
+    _, printed = run_cli(argv, capsys)
+    path = tmp_path / "certify.json"
+    code, out = run_cli([*argv, "--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == printed
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_exits_one(tmp_path, capsys, where):
+    # like an unreadable @file: a usage error on stderr, no traceback
+    code = cli.main(["certify", "--space", "l1", "--point", L1_ONE,
+                     "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_crosscheck_report_ignores_thread_env(monkeypatch, capsys):
     # the report depends on the RunConfig only, never on the environment
     argv = ["crosscheck", "--space", "ck", "--point", '{"prefix":[1],"limit":0}',

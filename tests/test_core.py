@@ -92,30 +92,36 @@ def test_hull_ck_points():
     assert core.hull_distance(x, pts) == 0
 
 
-def hull_tasks(seed):
-    """Seeded L1 and ck hull tasks: (target, points) on a shared model each."""
+def hull_groups(seed):
+    """Seeded L1 and ck hull groups: (points, targets) on a shared model
+    each, with one to three targets."""
     rng = random.Random(seed)
-    tasks = []
+    groups = []
     for _ in range(6):
         n = rng.randint(2, 4)
         model = l1.MeasureModel(tuple((f"c{i}", F(rng.randint(1, 4), 4), rng.choice(
             ("ATOM", "NONATOMIC"))) for i in range(n)))
         vals = lambda: [F(rng.randint(-4, 4), 4) for _ in range(n)]
-        tasks.append((sf(model, *vals()), [sf(model, *vals()) for _ in range(rng.randint(1, 5))]))
+        groups.append(([sf(model, *vals()) for _ in range(rng.randint(1, 5))],
+                       [sf(model, *vals()) for _ in range(rng.randint(1, 3))]))
     for _ in range(6):
         seq = lambda: ck.TailSequence(tuple(F(rng.randint(-4, 4), 4) for _ in range(
             rng.randint(0, 3))), F(rng.randint(-4, 4), 4))
-        tasks.append((seq(), [seq() for _ in range(rng.randint(1, 5))]))
-    return tasks
+        groups.append(([seq() for _ in range(rng.randint(1, 5))],
+                       [seq() for _ in range(rng.randint(1, 3))]))
+    return groups
+
+
+def exact_distances(groups):
+    """Every target's exact distance, flat and in order."""
+    return [core.hull_distance(t, points) for points, targets in groups for t in targets]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hull_distances_match_exact_solves(seed):
-    tasks = hull_tasks(seed)
-    dists = core.hull_distances(tasks)
-    assert len(dists) == len(tasks)
-    for (target, points), d in zip(tasks, dists):
-        assert abs(d - core.hull_distance(target, points)) <= 1e-9
+    groups = hull_groups(seed)
+    dists = core.hull_distances(groups)
+    assert dists == pytest.approx(exact_distances(groups), abs=1e-9)
 
 
 @pytest.fixture
@@ -128,19 +134,19 @@ def float_solves(monkeypatch):
 
 
 def test_hull_distances_keep_order_across_stacks(monkeypatch, float_solves):
-    tasks = hull_tasks(3)
-    one_stack = core.hull_distances(tasks)
+    groups = hull_groups(3)
+    one_stack = core.hull_distances(groups)
     monkeypatch.setattr(core, "_STACK_NNZ", 40)
     float_solves.clear()
-    many_stacks = core.hull_distances(tasks)
-    assert 1 < len(float_solves) < len(tasks)
+    many_stacks = core.hull_distances(groups)
+    assert 1 < len(float_solves) < sum(len(targets) for _, targets in groups)
     assert many_stacks == pytest.approx(one_stack, abs=1e-12)
     assert core.hull_distances([]) == []
 
 
 def test_hull_distances_need_polyhedral_points():
     with pytest.raises(core.NotPolyhedralError):
-        core.hull_distances([(T, [T])])
+        core.hull_distances([([T], [T])])
 
 
 def test_l1_crosscheck_solves_once_per_crosscheck(float_solves):
@@ -153,28 +159,28 @@ def test_l1_crosscheck_solves_once_per_crosscheck(float_solves):
 
 
 def test_hull_distances_reuse_a_shared_point_list(monkeypatch):
-    # tasks on one list reuse its block; fresh copies of the list rebuild it
+    # the targets of a group share one float LP; a group per target gives
+    # the same distances
     builds = []
     floats = core.hull_norm_floats
     monkeypatch.setattr(core, "hull_norm_floats", lambda k, e: builds.append(k) or floats(k, e))
-    for target, points in hull_tasks(4):
-        targets = [target, *points, -target, F(1, 2) * target]
+    for points, targets in hull_groups(4):
+        targets = [*targets, *points, -targets[0], F(1, 2) * targets[0]]
         builds.clear()
-        shared = core.hull_distances([(t, points) for t in targets])
-        if target.space == "l1":
-            assert builds.count(len(points)) == 1
-        fresh = core.hull_distances([(t, list(points)) for t in targets])
-        assert shared == pytest.approx(fresh, abs=1e-12)
-    # a ck target longer than the shared points changes the embedding length
+        grouped = core.hull_distances([(points, targets)])
+        assert builds == [len(points)]
+        alone = core.hull_distances([(list(points), [t]) for t in targets])
+        assert grouped == pytest.approx(alone, abs=1e-12)
+    # a group embeds at its longest prefix, here a ck target's
     points = [ck.TailSequence((1,), 1), ck.TailSequence((1,), -1)]
     targets = [ck.TailSequence((1,), 0), ck.TailSequence((1, 1, -1), 0),
                ck.TailSequence((), F(1, 2))]
-    shared = core.hull_distances([(t, points) for t in targets])
-    assert shared == pytest.approx([core.hull_distance(t, points) for t in targets], abs=1e-9)
+    grouped = core.hull_distances([(points, targets)])
+    assert grouped == pytest.approx(exact_distances([(points, targets)]), abs=1e-9)
 
 
 def test_hull_distances_embed_a_shared_l1_list_once(monkeypatch):
-    # later tasks on the same list embed their target beside one point only
+    # one embedding of targets and points per group
     sizes = []
     embed = l1.StepFunction.hull_embedding
     monkeypatch.setattr(l1.StepFunction, "hull_embedding",
@@ -182,21 +188,21 @@ def test_hull_distances_embed_a_shared_l1_list_once(monkeypatch):
     model = l1.MeasureModel(tuple((f"c{i}", F(i + 1, 7), "NONATOMIC") for i in range(6)))
     points = model.ball_vertices()
     targets = [sf(model, *(F((i * j) % 5 - 2, 9) for j in range(6))) for i in range(8)]
-    shared = core.hull_distances([(t, points) for t in targets])
-    assert sizes == [len(points) + 1] + [2] * (len(targets) - 1)
+    grouped = core.hull_distances([(points, targets)])
+    assert sizes == [len(targets) + len(points)]
     sizes.clear()
-    fresh = [core.hull_distances([(t, list(points))])[0] for t in targets]
-    assert sizes == [len(points) + 1] * len(targets)
-    assert shared == fresh
+    alone = core.hull_distances([(points, [t]) for t in targets])
+    assert sizes == [1 + len(points)] * len(targets)
+    assert grouped == alone
 
 
 def test_hull_distances_check_every_target_of_a_shared_list():
     points = [sf(M2, 1, 0), sf(M2, 0, -1)]
     other = atoms(1, 2)
     with pytest.raises(core.DeltaLabError, match="share a model"):
-        core.hull_distances([(sf(M2, 0, 0), points), (sf(other, 0, 0), points)])
+        core.hull_distances([(points, [sf(M2, 0, 0), sf(other, 0, 0)])])
     with pytest.raises(core.MixedSpaceError):
-        core.hull_distances([(sf(M2, 0, 0), points), (ck.TailSequence((1,), 0), points)])
+        core.hull_distances([(points, [sf(M2, 0, 0), ck.TailSequence((1,), 0)])])
 
 
 def exact_lp_in_floats(k, embeddings):

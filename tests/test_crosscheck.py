@@ -114,18 +114,18 @@ def _ck_instance(seed, target_len, width=4, n_shared=6, m=8):
     g = ck.random_unit(rng, target_len)
     shared = [ck.TailSequence(tuple(F(rng.choice((-1, 1))) for _ in range(width)),
                               F(rng.choice((-1, 1)))) for _ in range(n_shared)]
-    return g, shared, ck.daugavet_witness_ck(x, g, F(1, 2), m)
+    return x, g, shared, ck.daugavet_witness_ck(x, g, F(1, 2), m)
 
 
-def _reduced(g, shared, witness, width=4):
-    return [*dict.fromkeys(shared)] + ck._orbit_reduced(g, witness, width)
+def _reduced(x, g, shared, width=4, m=8):
+    return [*dict.fromkeys(shared)] + ck._orbit_hull(x, g, F(1, 2), m, width)
 
 
 def test_ck_orbit_reduction_keeps_the_exact_distance():
     # fresh indices past every shared prefix: the whole family is one orbit
     for seed, want in ((0, F(1, 14)), (1, F(1, 34)), (2, F(0)), (7, F(1, 18))):
-        g, shared, wit = _ck_instance(seed, 5)
-        reduced = _reduced(g, shared, wit)
+        x, g, shared, wit = _ck_instance(seed, 5)
+        reduced = _reduced(x, g, shared)
         assert len(reduced) == len(set(shared)) + 1
         assert core.hull_distance(g, shared + [*wit.members]) == want
         assert core.hull_distance(g, reduced) == want
@@ -137,8 +137,8 @@ def test_ck_orbit_reduction_keeps_members_the_shared_prefix_tells_apart():
     # moves the exact distance
     for seed, want, collapsed in ((1, F(1, 62), F(1, 36)), (2, F(9, 82), F(6, 43)),
                                   (3, F(1, 40), F(1, 38)), (4, F(9, 62), F(3, 16))):
-        g, shared, wit = _ck_instance(seed, 2)
-        reduced = _reduced(g, shared, wit)
+        x, g, shared, wit = _ck_instance(seed, 2)
+        reduced = _reduced(x, g, shared)
         assert wit.fresh_indices[:2] == (2, 3)
         assert reduced[-3:-1] == [*wit.members[:2]]
         assert core.hull_distance(g, shared + [*wit.members]) == want
@@ -146,19 +146,62 @@ def test_ck_orbit_reduction_keeps_members_the_shared_prefix_tells_apart():
         assert core.hull_distance(g, shared + [wit.average]) == collapsed != want
 
 
-def test_heavy_ck_crosscheck_solves_small_lps(monkeypatch):
-    # a Daugavet point at the default tol: 48 shared vertices and 201
-    # witness members per target, cut to at most 64 hull points each
+def test_ck_orbit_hull_checks_its_members():
+    x, g, _, _ = _ck_instance(0, 2)
+    with pytest.raises(core.VerificationError):
+        ck._orbit_hull(x, 2 * g, F(1, 2), 8, 4)
+
+
+def _hull_sizes(monkeypatch):
+    """The number of hull points of every LP that a crosscheck solves."""
     sizes = []
     solve = crosscheck.hull_distances
 
-    def spy(tasks):
-        sizes.extend(len(points) for _, points in tasks)
-        return solve(tasks)
+    def spy(groups):
+        sizes.extend(len(points) for points, targets in groups for _ in targets)
+        return solve(groups)
     monkeypatch.setattr(crosscheck, "hull_distances", spy)
+    return sizes
+
+
+def test_heavy_ck_crosscheck_solves_small_lps(monkeypatch):
+    # a Daugavet point at the default tol: 48 shared vertices and 201
+    # witness members per target, written as at most 64 hull points each
+    sizes = _hull_sizes(monkeypatch)
     x = ck.TailSequence((F(1, 2), F(-1, 2)), -1)
     rep = crosscheck.crosscheck_characterizations(x, [F(1, 10), F(1, 2)])
     assert len(sizes) == 18 and max(sizes) <= 64
     assert [r.n_candidates for r in rep.rows] == [249, 249]
     assert rep.agree and rep.theorem_daugavet and rep.hull_delta and rep.hull_daugavet
     assert all(r.delta_ok and r.daugavet_ok for r in rep.rows)
+
+
+def test_ck_crosscheck_at_the_tol_floor(monkeypatch):
+    # tol 1/500: 48 shared vertices and 1,001 witness members per target
+    sizes = _hull_sizes(monkeypatch)
+    rep = crosscheck.crosscheck_characterizations(ck.TailSequence((), 1), [F(1, 2)],
+                                                  tol=F(1, 500))
+    assert len(sizes) == 9 and max(sizes) <= 64
+    assert [r.n_candidates for r in rep.rows] == [1049]
+    assert rep.agree and rep.rows[0].daugavet_ok
+
+
+def test_ck_crosscheck_builds_no_witness_family(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the crosscheck built a witness family")
+    monkeypatch.setattr(ck, "daugavet_witness_ck", refuse)
+    rep = crosscheck.crosscheck_characterizations(ck.TailSequence((0,), 1), GRID)
+    assert rep.agree and rep.theorem_daugavet
+
+
+def test_ck_crosscheck_keeps_a_margin_below_tol():
+    # at these tol = 2/N, 2/tol rounds below N in floats (1/99 gives
+    # 197.99999999999997), so m = floor(2/tol) + 1 members would put the
+    # anchor at distance 2/m = tol exactly, and the last bit of a HiGHS
+    # float would decide the verdict
+    x = ck.TailSequence((), 1)
+    zero_margin = [n for n in range(2, 1001) if int(2 / float(F(2, n))) + 1 == n]
+    assert F(2, 198) == F(1, 99) and 198 in zero_margin
+    for n in zero_margin:
+        rep = crosscheck.crosscheck_characterizations(x, [F(1, 2)], tol=F(2, n))
+        assert rep.agree and rep.rows[0].delta_ok and rep.rows[0].daugavet_ok, n

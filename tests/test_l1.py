@@ -212,7 +212,7 @@ def test_refutation_bound_holds_on_samples():
     rng = random.Random(11)
     fl, members = l1.sample_far_members(f, res.eps_used, 200, rng)
     assert len(members) == 200
-    d = core.hull_distances([(fl, members)])[0]
+    d = core.hull_distances([(members, [fl])])[0]
     assert d >= float(res.bound) - 1e-9
 
 

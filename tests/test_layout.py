@@ -131,17 +131,23 @@ def test_crosscheck_setup_takes_point_tol_rng():
     assert sorted(setups) == ["ck", "l1"]
     for setup in setups.values():
         assert [*inspect.signature(setup).parameters] == ["x", "tol", "rng"]
-    # each eps gives (anchor task, probe tasks); a task is (target, hull
-    # points, far candidate count), and the count is at least the points
+    # each eps gives (count, groups): count is the row's far candidate
+    # count, a group is (hull points, targets), and the first target of the
+    # first group is the anchor
     model = l1.MeasureModel((("a", 1, "NONATOMIC"),))
     points = {"l1": l1.StepFunction(model, (1,)), "ck": ck.TailSequence((0,), 1)}
     for name, setup in setups.items():
         _, theorem, builder = setup(points[name], None, random.Random(0))
-        anchor, probes = builder(Fraction(1, 2))
-        for target, hull_points, count in [anchor, *probes]:
-            assert target.space == name and isinstance(hull_points, list)
-            assert isinstance(count, int) and count >= len(hull_points) > 0
-        if name == "l1":  # every far candidate is a hull point
-            assert all(count == len(pts) for _, pts, count in [anchor, *probes])
-        else:  # a witness family's orbit is one hull point
-            assert theorem and all(count > len(pts) for _, pts, count in [anchor, *probes])
+        count, groups = builder(Fraction(1, 2))
+        assert isinstance(count, int) and isinstance(groups, list)
+        for hull_points, targets in groups:
+            assert isinstance(hull_points, list) and count >= len(hull_points) > 0
+            assert all(t.space == name for t in [*hull_points, *targets])
+        anchor = groups[0][1][0]
+        assert anchor.norm() == 1
+        if name == "l1":  # one group, and every far candidate is a hull point
+            assert len(groups) == 1 and count == len(groups[0][0])
+        else:  # a group per target, and a witness family's orbit is one hull point
+            assert anchor is points[name]
+            assert theorem and all(len(targets) == 1 and count > len(pts)
+                                   for pts, targets in groups)
