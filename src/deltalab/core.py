@@ -334,15 +334,15 @@ def _hull_embedding(targets, points):
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
 # stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
-# crosscheck LP has at most 150 nonzeros and a whole crosscheck (three eps
-# rows) at most 2,706.  A ck crosscheck LP, its witness family written as
+# crosscheck LP, its far set written as one mean per far (cell, sign) of x's
+# model, has at most 24 nonzeros and a whole crosscheck (three eps rows, 33
+# LPs) at most 792.  A ck crosscheck LP, its witness family written as
 # `ck._orbit_hull`'s few points, has about 320, and the heaviest ck
 # crosscheck of `cli_requests` (two eps rows, 18 LPs) 5,716.  Stacking large
 # LPs costs memory: with full witness families (about 52k nonzeros each) a
 # stack of every LP of an eps row raised the peak RSS of `cli_requests` from
 # 108 to 197 MB (2-core VM).  So 20k stacks a whole crosscheck on the
-# benchmark inputs and leaves each large LP (a fine L1 refinement's far set)
-# a solve of its own.
+# benchmark inputs and leaves each large LP a solve of its own.
 _STACK_NNZ = 20_000
 
 

@@ -12,11 +12,13 @@ theorem-based decision.  The model's `crosscheck_setup(x, tol, rng)` (see
 `l1` and `ck`) gives that decision, the default of `tol` and a builder that
 maps each eps to (count, groups); it draws the probes from `rng`.  `count`
 is the number of far candidates the row reports, 0 for a row without any.
-A group is (hull points, targets): the hull points are the candidates, or
-fewer points whose hull LPs have the same optima (`ck` drops repeated
-vertices and writes each witness family's symmetric part as its mean), and
-the first target of the first group is x itself.  Disagreements are
-reported, never raised.
+A group is (hull points, targets): the hull points are at most as many as
+the candidates and give the same hull LP optima, and the first target of
+the first group is x itself.  Both models replace a symmetric orbit of
+candidates by its mean: `l1` writes one point s chi_c / m_c per cell c of x's
+own model and far sign s instead of the far vertices of c's refined parts,
+and `ck` drops repeated vertices and writes each witness family's symmetric
+part as its mean.  Disagreements are reported, never raised.
 
 The groups of every eps row are built first, then the whole grid is one
 call of `core.hull_distances`, one LP per target.  The targets of a group

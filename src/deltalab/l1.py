@@ -508,6 +508,14 @@ def atom_slice(model: MeasureModel, atom_id: str, eps) -> AtomSliceResult:
 # far families (exact hull decompositions and samplers)
 
 
+def _pieces(f: StepFunction, eps: Fraction):
+    """How many pieces of equal mass `_refine_for_eps` splits each cell of f
+    into: ceil(2 |f_c| m_c / eps) for a nonatomic cell where f is nonzero,
+    1 for the others."""
+    return [math.ceil(2 * abs(v) * c.mass / eps) if v and c.kind is CellKind.NONATOMIC else 1
+            for v, c in zip(f.values, f.model.cells)]
+
+
 def _refine_for_eps(f: StepFunction, eps: Fraction):
     """Split every nonatomic cell finely enough that its positively-signed
     unit spikes are eps-far from f: pieces with |f| mass <= eps/2 each.
@@ -515,44 +523,49 @@ def _refine_for_eps(f: StepFunction, eps: Fraction):
     Returns (refined model, lifted f, composite lift for other functions)."""
     if eps <= 0:
         raise DeltaLabError("far families need eps > 0")
-    model, fl = f.model, f
-    lifts = []
-    for cell, value in zip(f.model.cells, f.values):
-        if cell.kind is not CellKind.NONATOMIC:
-            continue
-        w = abs(value) * cell.mass
-        if w == 0:
-            continue
-        pieces = math.ceil(2 * w / eps)
-        if pieces == 1:
-            continue
-        res = split_even(model, cell.id, pieces)
-        model, fl = res.model, res.lift(fl)
-        lifts.append(res.lift)
+    model, fl, lifts = f.model, f, []
+    for cell, k in zip(f.model.cells, _pieces(f, eps)):
+        if k > 1:
+            res = split_even(model, cell.id, k)
+            model, fl = res.model, res.lift(fl)
+            lifts.append(res.lift)
     return model, fl, _chain(lifts)
+
+
+def _far_cells(f: StepFunction, eps: Fraction):
+    """(pieces, signs) for each cell c of f: the number of parts of c in
+    `_refine_for_eps`, each of mass m_p = m_c / pieces, and the signs s whose
+    refined ball vertices s chi_p / m_p lie in the far set of f.  This is the
+    exact far test of `far_vertices`, made once per cell, as every part of c
+    gives the same answer."""
+    # ||fl - s chi_p / m_p|| = ||f|| - |w| + |w - s| with w = f_c m_p = p/q;
+    # times q > 0 and the denominators of ||f|| = n/d and eps = e/g:
+    # (n q - |p| d + |p - s q| d) g >= (2 g - e) d q
+    norm = f.norm()
+    n, d = norm.numerator, norm.denominator
+    e, g = eps.numerator, eps.denominator
+    out = []
+    for v, cell, k in zip(f.values, f.model.cells, _pieces(f, eps)):
+        p, q = v.numerator * cell.mass.numerator, v.denominator * cell.mass.denominator * k
+        rest, need = (n * q - abs(p) * d) * g, (2 * g - e) * d * q
+        out.append((k, [s for s in (1, -1) if rest + abs(p - s * q) * d * g >= need]))
+    return out
 
 
 def far_vertices(f: StepFunction, eps):
     """Refined-model ball vertices lying in the far set of f.
 
-    Returns (refined model, lifted f, members, lift), where lift carries
-    other functions on f's model to the refined one.  If supp(f) has no
-    atoms the convex hull of the members contains the whole refined ball, so
-    these vertices decide hull questions for both Delta and Daugavet tests.
+    Returns (refined model, lifted f, members).  If supp(f) has no atoms
+    the convex hull of the members contains the whole refined ball, so these
+    vertices decide hull questions for both Delta and Daugavet tests.
     """
     eps = as_fraction(eps)
-    model, fl, lift = _refine_for_eps(f, eps)
-    # ||fl - s chi_c / m_c|| = ||fl|| - |w| + |w - s| with w = fl_c m_c = p/q;
-    # times q > 0 and the denominators of ||fl|| = n/d and eps = e/g:
-    # (n q - |p| d + |p - s q| d) g >= (2 g - e) d q
-    norm, members = fl.norm(), []
-    n, d = norm.numerator, norm.denominator
-    e, g = eps.numerator, eps.denominator
-    for i, (v, cell) in enumerate(zip(fl.values, model.cells)):
-        p, q = v.numerator * cell.mass.numerator, v.denominator * cell.mass.denominator
-        rest, need = (n * q - abs(p) * d) * g, (2 * g - e) * d * q
-        members += [model.vertex(i, s) for s in (1, -1) if rest + abs(p - s * q) * d * g >= need]
-    return model, fl, members, lift
+    model, fl, _ = _refine_for_eps(f, eps)
+    members, i = [], 0
+    for k, signs in _far_cells(f, eps):
+        members += [model.vertex(j, s) for j in range(i, i + k) for s in signs]
+        i += k
+    return model, fl, members
 
 
 def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
@@ -612,7 +625,7 @@ def sample_far_members(f: StepFunction, eps, count: int, rng):
     eps = as_fraction(eps)
     out = []
 
-    model, fl, verts, _ = far_vertices(f, eps)
+    model, fl, verts = far_vertices(f, eps)
     out.extend(verts)
 
     neg = -fl
@@ -703,18 +716,26 @@ _CROSSCHECK_MIXTURES = 4  # interior far mixtures per eps row of `crosscheck_set
 
 
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`: all
-    targets share one group, the refined model's far ball vertices and a few
-    interior mixtures.  On the cross-polytope this is exact (distance zero or a
-    macroscopic gap), so tol defaults to 1e-6; the probes are the ball
-    vertices and two random unit points."""
+    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`.
+
+    The count is that of the far candidates: the refined model's far ball
+    vertices and a few interior mixtures of them, drawn from rng.  The LP
+    runs on x's own model: all targets (x, its ball vertices and two random
+    unit points) share one group, whose hull points are the means
+    s chi_c / m_c of the far vertices on the parts of cell c with sign s.
+    Every target is constant on the parts of a cell, and so is far-ness, so
+    the LP is symmetric under permuting the parts of a cell and has an
+    optimum that weighs them equally (Bödi, Herr & Joswig, Math. Program.
+    137, 2013).  So the distances are those to the hull of all candidates,
+    which holds the mixtures already.  On the cross-polytope this is exact
+    (distance zero or a macroscopic gap), so tol defaults to 1e-6."""
     tol = 1e-6 if tol is None else float(tol)
     theorem, _ = is_daugavet_point_l1(x)
-    probes = x.model.ball_vertices()
-    probes += [p for p in (random_unit(x.model, rng) for _ in range(2)) if p]
+    targets = [x, *x.model.ball_vertices()]
+    targets += [p for p in (random_unit(x.model, rng) for _ in range(2)) if p]
 
     def candidates(eps):
-        _, xl, members, lift = far_vertices(x, eps)
+        _, xl, members = far_vertices(x, eps)
         added = 0
         for _ in range(_CROSSCHECK_MIXTURES * 8):
             if added >= _CROSSCHECK_MIXTURES or len(members) < 2:
@@ -725,5 +746,7 @@ def crosscheck_setup(x, tol, rng):
             if (xl - cand).norm() >= 2 - eps:
                 members.append(cand)
                 added += 1
-        return len(members), [(members, [xl, *map(lift, probes)])]
+        means = [x.model.vertex(c, s) for c, (_, signs) in enumerate(_far_cells(x, eps))
+                 for s in signs]
+        return len(members), [(means, targets)]
     return tol, theorem, candidates

@@ -205,3 +205,90 @@ def test_ck_crosscheck_keeps_a_margin_below_tol():
     for n in zero_margin:
         rep = crosscheck.crosscheck_characterizations(x, [F(1, 2)], tol=F(2, n))
         assert rep.agree and rep.rows[0].delta_ok and rep.rows[0].daugavet_ok, n
+
+
+def _l1_instance(seed):
+    """A seeded unit point on 1-4 cells of masses in {1/2, 1, 3/2}, mixed
+    ATOM/NONATOMIC kinds, values in {-2, ..., 2} (zeros included)."""
+    rng = random.Random(seed)
+    m = model(*[(F(rng.randrange(1, 4), 2), rng.choice(("ATOM", "NONATOMIC")))
+                for _ in range(rng.randrange(1, 5))])
+    return l1.random_unit(m, rng), rng
+
+
+def _full_far_set(x, eps, rng):
+    """The refined far ball vertices and four far mixtures of them, with
+    the lift to the refined model."""
+    _, xl, members = l1.far_vertices(x, eps)
+    mixtures = []
+    while len(members) >= 2 and len(mixtures) < 4:
+        t = F(rng.randrange(1, 1000), 1000)
+        cand = (1 - t) * rng.choice(members) + t * rng.choice(members)
+        if (xl - cand).norm() >= 2 - eps:
+            mixtures.append(cand)
+    return members + mixtures, l1._refine_for_eps(x, eps)[2]
+
+
+def _exact_distances(points, targets):
+    return [core.hull_distance(t, points) for t in targets]
+
+
+def test_l1_orbit_means_keep_the_exact_distances():
+    # the LP over one mean per far (cell, sign) of x's model has the exact
+    # optimum of the LP over the whole refined far set, mixtures included
+    for seed in range(8):
+        x, rng = _l1_instance(seed)
+        _, _, builder = l1.crosscheck_setup(x, None, random.Random(seed))
+        for eps in (F(1, 10), F(1, 3), F(1, 2), F(1), F(2)):
+            count, [(means, targets)] = builder(eps)
+            full, lift = _full_far_set(x, eps, rng)
+            assert count >= len(means) and bool(count) == bool(full) == bool(means)
+            if not means:
+                continue
+            assert len(means) <= 2 * len(x.model.cells)
+            assert all(p.model == x.model for p in [*means, *targets])
+            want = _exact_distances(full, [lift(t) for t in targets])
+            assert _exact_distances(means, targets) == want, (seed, eps)
+
+
+def test_l1_orbit_means_mutated_move_a_distance():
+    # dropping a far mean, or adding the mean of a (cell, sign) that is not
+    # far, moves the distance of some target: the hull points are exactly
+    # the far ones
+    moved_by_adding = 0
+    for seed in range(8):
+        x, _ = _l1_instance(seed)
+        _, _, builder = l1.crosscheck_setup(x, None, random.Random(seed))
+        for eps in (F(1, 3), F(1)):
+            _, [(means, targets)] = builder(eps)
+            if not means:
+                continue
+            want = _exact_distances(means, targets)
+            for drop in range(len(means) if len(means) > 1 else 0):
+                assert _exact_distances(means[:drop] + means[drop + 1:], targets) != want
+            for v in x.model.ball_vertices():
+                if v not in means:
+                    assert _exact_distances(means + [v], targets) != want
+                    moved_by_adding += 1
+    assert moved_by_adding
+
+
+def test_small_eps_l1_crosscheck_solves_a_small_lp(monkeypatch):
+    # eps 1/1000 refines each cell into 1,000 parts: 4,000 far vertices and
+    # 4 mixtures are counted, and the LP has one hull point per (cell, sign)
+    seen = []
+    solve = crosscheck.hull_distances
+
+    def spy(groups):
+        seen.extend(groups)
+        return solve(groups)
+    monkeypatch.setattr(crosscheck, "hull_distances", spy)
+    x = l1.point_from_json({"cells": [{"id": "a", "mass": "1/2", "kind": "NONATOMIC"},
+                                      {"id": "b", "mass": "1/2", "kind": "NONATOMIC"}],
+                            "values": ["1", "-1"]})
+    rep = crosscheck.crosscheck_characterizations(x, [F(1, 1000)])
+    assert [r.n_candidates for r in rep.rows] == [4004]
+    assert rep.rows[0].delta_distance == 0 and max(rep.rows[0].probe_distances) == 0
+    assert rep.agree and rep.theorem_daugavet
+    [(points, targets)] = seen
+    assert len(points) <= 4 and all(p.model == x.model for p in [*points, *targets])

@@ -275,7 +275,7 @@ def test_far_vertices_are_the_far_ball_vertices(eps):
         vals = [F(rng.randint(-2, 2), 2) if kind == "ATOM"
                 else rng.randint(-3, 3) * eps / (2 * mass) for mass, kind in spec]
         f = l1.StepFunction(model(*spec), tuple(vals))
-        refined, fl, members, _ = l1.far_vertices(f, eps)
+        refined, fl, members = l1.far_vertices(f, eps)
         assert members == [v for v in refined.ball_vertices() if (fl - v).norm() >= 2 - eps]
 
 

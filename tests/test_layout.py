@@ -144,10 +144,11 @@ def test_crosscheck_setup_takes_point_tol_rng():
             assert isinstance(hull_points, list) and count >= len(hull_points) > 0
             assert all(t.space == name for t in [*hull_points, *targets])
         anchor = groups[0][1][0]
-        assert anchor.norm() == 1
-        if name == "l1":  # one group, and every far candidate is a hull point
-            assert len(groups) == 1 and count == len(groups[0][0])
+        assert anchor is points[name] and anchor.norm() == 1
+        if name == "l1":  # one group, a hull point per far (cell, sign) of x's model
+            [(hull_points, targets)] = groups
+            assert all(p.model == anchor.model for p in [*hull_points, *targets])
+            assert count >= len(hull_points) <= 2 * len(model.cells)
         else:  # a group per target, and a witness family's orbit is one hull point
-            assert anchor is points[name]
             assert theorem and all(len(targets) == 1 and count > len(pts)
                                    for pts, targets in groups)
