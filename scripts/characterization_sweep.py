@@ -2,9 +2,10 @@
 """Sweep the support/limit characterizations against brute-force hull tests.
 
 For a panel of measure-model and sequence-model points, print the theorem
-decision next to the refined-model hull distances of the crosscheck and the
-per-eps verdicts.  Everything here is recomputed; disagreements would be
-reported in the final column (none are expected).
+decision next to the crosscheck's hull distances of x (exact on the L1
+models, HiGHS floats on the sequence models) and the per-eps verdicts.
+Everything here is recomputed; disagreements would be reported in the
+final column (none are expected).
 
 Run:  python scripts/characterization_sweep.py
 """
@@ -44,7 +45,7 @@ def run(panel, tol=None):
     print(f"{'point':<24}{'theorem':<10}{'hull':<8}{'per-eps distances':<36}agree")
     for name, point in panel:
         rep = crosscheck.crosscheck_characterizations(point, EPS_GRID, tol=tol)
-        dists = ", ".join(f"{r.delta_distance:.2e}" for r in rep.rows)
+        dists = ", ".join(f"{float(r.delta_distance):.2e}" for r in rep.rows)
         print(f"{name:<24}{str(rep.theorem_daugavet):<10}"
               f"{str(rep.hull_daugavet):<8}{dists:<36}{rep.agree}")
 

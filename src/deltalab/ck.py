@@ -30,6 +30,7 @@ from .core import (
     Verdict,
     WitnessRecord,
     cube_slice_vertices,
+    hull_distances,
     mean,
     num_from_json,
     num_to_json,
@@ -569,14 +570,14 @@ def _orbit_hull(x: TailSequence, target: TailSequence, eps, m: int, width: int) 
 
 
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`:
-    vertices never suffice in a finite truncation, so each target gets the
-    distinct ones of the shared far cube vertices plus, when x is a Daugavet
-    point, the witness family of m = 2/tol + 1/2 members (at least 8) aimed
-    at it, cut to a few hull points by `_orbit_hull` (a subset of the far
-    set only raises distances, so the test stays sound).  The targets of a
-    non-Daugavet point share one group; a Daugavet point has a group per
-    target.  The count is every vertex drawn plus, for a Daugavet point,
+    """(tol, theorem verdict, eps -> (count, groups), `core.hull_distances`)
+    for `crosscheck`: vertices never suffice in a finite truncation, so each
+    target gets the distinct ones of the shared far cube vertices plus, when
+    x is a Daugavet point, the witness family of m = 2/tol + 1/2 members (at
+    least 8) aimed at it, cut to a few hull points by `_orbit_hull` (a
+    subset of the far set only raises distances, so the test stays sound).
+    The targets of a non-Daugavet point share one group; a Daugavet point
+    has a group per target.  The count is every vertex drawn plus, for a Daugavet point,
     m.  The family's resolution 2/m sets the default tol = 1e-2, and tol
     must be at least _CROSSCHECK_MIN_TOL.  The probes are six random cube
     vertices and two unit points.  Points of the finite sup-norm model
@@ -609,4 +610,4 @@ def crosscheck_setup(x, tol, rng):
             return len(shared), [(distinct, targets)]
         return len(shared) + m, [(distinct + _orbit_hull(x, t, eps, m, vertex_width), [t])
                                  for t in targets]
-    return tol, theorem, candidates
+    return tol, theorem, candidates, hull_distances

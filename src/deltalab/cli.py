@@ -147,8 +147,8 @@ def _cmd_crosscheck(params, seed):
         "hull_delta": rep.hull_delta,
         "hull_daugavet": rep.hull_daugavet,
         "rows": [{"eps": _num(r.eps), "candidates": r.n_candidates,
-                  "delta_distance": _num(r.delta_distance),
-                  "max_probe_distance": _num(max(r.probe_distances, default=0.0)),
+                  "delta_distance": _num(float(r.delta_distance)),
+                  "max_probe_distance": _num(float(max(r.probe_distances, default=0))),
                   "delta_ok": r.delta_ok, "daugavet_ok": r.daugavet_ok}
                  for r in rep.rows],
     }]

@@ -89,13 +89,8 @@ def num_from_json(v):
 
 
 class Functional:
-    """Base class for dual elements; subclasses live with their space model."""
-
-    def __call__(self, point):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def dual_norm(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    """Base class for dual elements; subclasses live with their space model
+    and define `__call__(point)` and `dual_norm()`."""
 
 
 @dataclass(frozen=True)
@@ -333,16 +328,15 @@ def _hull_embedding(targets, points):
 
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
-# stack would pass this many nonzeros.  In the `l1_oracle` benchmark an L1
-# crosscheck LP, its far set written as one mean per far (cell, sign) of x's
-# model, has at most 24 nonzeros and a whole crosscheck (three eps rows, 33
-# LPs) at most 792.  A ck crosscheck LP, its witness family written as
-# `ck._orbit_hull`'s few points, has about 320, and the heaviest ck
-# crosscheck of `cli_requests` (two eps rows, 18 LPs) 5,716.  Stacking large
-# LPs costs memory: with full witness families (about 52k nonzeros each) a
-# stack of every LP of an eps row raised the peak RSS of `cli_requests` from
-# 108 to 197 MB (2-core VM).  So 20k stacks a whole crosscheck on the
-# benchmark inputs and leaves each large LP a solve of its own.
+# stack would pass this many nonzeros.  Its crosscheck caller is the ck
+# model (the l1 crosscheck has closed-form distances).  A ck crosscheck LP,
+# its witness family written as `ck._orbit_hull`'s few points, has about
+# 320, and the heaviest ck crosscheck of `cli_requests` (two eps rows, 18
+# LPs) 5,716.  Stacking large LPs costs memory: with full witness families
+# (about 52k nonzeros each) a stack of every LP of an eps row raised the
+# peak RSS of `cli_requests` from 108 to 197 MB (2-core VM).  So 20k stacks
+# a whole crosscheck on the benchmark inputs and leaves each large LP a
+# solve of its own.
 _STACK_NNZ = 20_000
 
 
@@ -367,7 +361,7 @@ def _solve_blocks(blocks):
 def hull_distances(groups):
     """Float hull distances on the polyhedral models: for each (points,
     targets) group, the distance of every target to the hull of `points`,
-    flat and in order.
+    flat and in order.  The ck crosscheck reads its distances here.
 
     A group is embedded once, targets and points together (so each target
     passes the space and model checks), and its LP is built once: each

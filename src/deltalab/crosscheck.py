@@ -9,23 +9,23 @@ module builds a candidate subset of the far set far_eps(x), then decides
 
 and compares the aggregate (over the whole eps grid) with the space's
 theorem-based decision.  The model's `crosscheck_setup(x, tol, rng)` (see
-`l1` and `ck`) gives that decision, the default of `tol` and a builder that
-maps each eps to (count, groups); it draws the probes from `rng`.  `count`
-is the number of far candidates the row reports, 0 for a row without any.
-A group is (hull points, targets): the hull points are at most as many as
-the candidates and give the same hull LP optima, and the first target of
-the first group is x itself.  Both models replace a symmetric orbit of
-candidates by its mean: `l1` writes one point s chi_c / m_c per cell c of x's
-own model and far sign s instead of the far vertices of c's refined parts,
-and `ck` drops repeated vertices and writes each witness family's symmetric
-part as its mean.  Disagreements are reported, never raised.
+`l1` and `ck`) gives that decision, the default of `tol`, a builder that
+maps each eps to (count, groups), and the function that turns groups into
+distances; it draws the probes from `rng`.  `count` is the number of far
+candidates the row reports, 0 for a row without any.  A group is (hull,
+targets): the hull names at most as many points as there are candidates,
+with the same hull distances, and the first target of the first group is
+x itself.  Both models replace a symmetric orbit of candidates by its
+mean.  `l1` gives the far signs of each cell c of x's own model, standing
+for the points s chi_c / m_c, in place of the far vertices of c's refined
+parts, and its distances are exact Fractions in closed form, with no LP.
+`ck` drops repeated vertices and writes each witness family's symmetric
+part as its mean; its distances are HiGHS floats from
+`core.hull_distances`, one stacked solve per crosscheck.  Disagreements
+are reported, never raised.
 
 The groups of every eps row are built first, then the whole grid is one
-call of `core.hull_distances`, one LP per target.  The targets of a group
-share one float matrix, and small LPs are stacked into one HiGHS solve (a
-whole L1 crosscheck, and a whole ck one, is one solve); a large LP gets a
-solve of its own.  Distances are HiGHS floats, so the verdicts are not
-exact.
+call of the model's distance function, one distance per target.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
-from .core import DeltaLabError, hull_distances, require_unit
+from .core import DeltaLabError, require_unit
 from .sums import space_hook
 from .util import as_fraction
 
@@ -44,7 +44,7 @@ from .util import as_fraction
 class CrosscheckRow:
     eps: Fraction
     n_candidates: int
-    delta_distance: float
+    delta_distance: Any       # Fraction on l1, float on ck, inf without candidates
     probe_distances: tuple
     delta_ok: bool
     daugavet_ok: bool
@@ -71,9 +71,9 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None,
                                  seed: int = 0) -> CrosscheckReport:
     """Compare hull-based far-set tests against the theorem decision.
 
-    `tol` defaults to 1e-6 for L1 models (membership there is exact up to LP
-    rounding) and 1e-2 for sequence models (the witness-family resolution,
-    at least 1/500).
+    `tol` defaults to 1e-6 for L1 models (the distances there are exact) and
+    1e-2 for sequence models (the witness-family resolution, at least
+    1/500).
     """
     require_unit(x)
     if tol is not None and not float(tol) > 0:
@@ -85,13 +85,13 @@ def crosscheck_characterizations(x, eps_grid: Sequence, tol=None,
 
     setup = space_hook(getattr(x, "space", None), "crosscheck_setup",
                        DeltaLabError("crosscheck needs a polyhedral model (l1 or ck)"))
-    tol, theorem, builder = setup(x, tol, rng)
+    tol, theorem, builder, distances = setup(x, tol, rng)
 
     # every row's candidates first, in grid order (only the builder draws
     # from rng), then one batch of every row with candidates; a row's first
     # target is its anchor x, the others are the probes
     built = [(eps, *builder(eps)) for eps in eps_grid]
-    dists = iter(hull_distances([g for _, count, groups in built if count for g in groups]))
+    dists = iter(distances([g for _, count, groups in built if count for g in groups]))
     rows = []
     for eps, count, groups in built:
         if not count:

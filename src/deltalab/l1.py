@@ -715,20 +715,56 @@ def witness_report(f, eps, params, serialize) -> dict:
 _CROSSCHECK_MIXTURES = 4  # interior far mixtures per eps row of `crosscheck_setup`
 
 
+def crosscheck_distances(groups):
+    """Exact distances for `crosscheck`: for each (far, targets) group, the
+    distance of every target y to the hull of the points s chi_C / m_C of
+    each cell C of y's model and sign s in far[C], flat and in order.
+
+    In mass coordinates a_C = m_C y_C the norm of y is sum |a_C| and each
+    hull point is s e_C, so a hull point t puts weight w_{C,s} >= 0, summing
+    to 1, on the far (C, s).  A unit of weight on a far (C, sgn a_C) lowers
+    sum |a_C - t_C| by one while the weight there stays within |a_C|, so at
+    most min(1, P) is gained, with P the sum of |a_C| over the cells where
+    sgn a_C is far.  Every other unit moves t_C away from a_C and costs one,
+    unless an equal unit on the other sign of the same cell cancels it,
+    which needs a cell with both signs far; such a cell absorbs any leftover
+    weight at no cost.  Both bounds are attained, so
+
+        d = sum |a_C| - min(1, P) + max(0, 1 - P) [no cell has both signs far].
+
+    The LP this solves is the crosscheck's hull LP after the orbit
+    reduction of `crosscheck_setup`.  It runs in integers over the common
+    denominator D of the a_C, where it reads sum |a_C| - D + k max(0, D - P)
+    with k = 1 when a cell has both signs far and k = 2 otherwise."""
+    out = []
+    for far, targets in groups:
+        k = 1 if any(len(signs) == 2 for signs in far) else 2
+        for y in targets:
+            a = [(v.numerator * c.mass.numerator, v.denominator * c.mass.denominator)
+                 for v, c in zip(y.values, y.model.cells)]
+            den = math.lcm(*(q for _, q in a))
+            nums = [p * (den // q) for p, q in a]
+            matched = sum(abs(n) for n, signs in zip(nums, far) if sgn(n) in signs)
+            out.append(Fraction(sum(map(abs, nums)) - den + k * max(0, den - matched), den))
+    return out
+
+
 def crosscheck_setup(x, tol, rng):
-    """(tol, theorem verdict, eps -> (count, groups)) for `crosscheck`.
+    """(tol, theorem verdict, eps -> (count, groups), `crosscheck_distances`)
+    for `crosscheck`.
 
     The count is that of the far candidates: the refined model's far ball
-    vertices and a few interior mixtures of them, drawn from rng.  The LP
-    runs on x's own model: all targets (x, its ball vertices and two random
-    unit points) share one group, whose hull points are the means
-    s chi_c / m_c of the far vertices on the parts of cell c with sign s.
-    Every target is constant on the parts of a cell, and so is far-ness, so
-    the LP is symmetric under permuting the parts of a cell and has an
-    optimum that weighs them equally (Bödi, Herr & Joswig, Math. Program.
-    137, 2013).  So the distances are those to the hull of all candidates,
-    which holds the mixtures already.  On the cross-polytope this is exact
-    (distance zero or a macroscopic gap), so tol defaults to 1e-6."""
+    vertices and a few interior mixtures of them, drawn from rng.  The
+    distances are taken on x's own model: all targets (x, its ball vertices
+    and two random unit points) share one group, whose hull is that of the
+    means s chi_c / m_c of the far vertices on the parts of cell c with
+    sign s, given as the far signs of each cell.  Every target is constant
+    on the parts of a cell, and so is far-ness, so the hull LP is symmetric
+    under permuting the parts of a cell and has an optimum that weighs them
+    equally (Bödi, Herr & Joswig, Math. Program. 137, 2013).  So the
+    distances are those to the hull of all candidates, which holds the
+    mixtures already.  They are exact (zero or a macroscopic gap), so tol
+    defaults to 1e-6."""
     tol = 1e-6 if tol is None else float(tol)
     theorem, _ = is_daugavet_point_l1(x)
     targets = [x, *x.model.ball_vertices()]
@@ -746,7 +782,5 @@ def crosscheck_setup(x, tol, rng):
             if (xl - cand).norm() >= 2 - eps:
                 members.append(cand)
                 added += 1
-        means = [x.model.vertex(c, s) for c, (_, signs) in enumerate(_far_cells(x, eps))
-                 for s in signs]
-        return len(members), [(means, targets)]
-    return tol, theorem, candidates
+        return len(members), [([signs for _, signs in _far_cells(x, eps)], targets)]
+    return tol, theorem, candidates, crosscheck_distances

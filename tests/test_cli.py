@@ -498,8 +498,32 @@ L1_THREE_CELLS = json.dumps({
     ("l1-three-cells", ["crosscheck", "--space", "l1", "--seed", "7", "--point", L1_THREE_CELLS]),
     ("ck-small", ["crosscheck", "--space", "ck", "--point", '{"prefix":["1","1"],"limit":"0"}']),
 ])
-def test_batched_crosscheck_report_is_golden(name, argv, capsys):
+def test_batched_crosscheck_report_is_golden(name, argv, capsys, monkeypatch):
+    # the l1 distances are closed forms, the ck ones one stacked HiGHS solve
+    solves = []
+    solve = lp.simplex_float
+    monkeypatch.setattr(lp, "simplex_float", lambda *a: solves.append(1) or solve(*a))
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert out == (REPO / "tests" / "golden_crosscheck" / f"{name}.json").read_text(
         encoding="utf-8")
+    assert len(solves) == {"l1-three-cells": 0, "ck-small": 1}[name]
+
+
+def test_l1_crosscheck_loads_no_lp_solver():
+    # `python -m deltalab.cli crosscheck` in a fresh process imports
+    # scipy.optimize only for a ck point
+    script = """if True:
+        import runpy, sys
+        sys.argv[1:] = ["crosscheck", "--space", sys.argv[1], "--point", sys.argv[2]]
+        try:
+            runpy.run_module("deltalab.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as e:
+            assert not e.code, e.code
+        print("scipy.optimize" in sys.modules, file=sys.stderr)
+    """
+    for space, point, loaded in (("l1", L1_THREE_CELLS, "False"),
+                                 ("ck", '{"prefix":["1","1"],"limit":"0"}', "True")):
+        proc = run_python(["-c", script, space, point])
+        assert proc.returncode == 0, proc.stderr
+        assert '"agree": true' in proc.stdout and proc.stderr.split() == [loaded]

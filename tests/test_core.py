@@ -149,13 +149,18 @@ def test_hull_distances_need_polyhedral_points():
         core.hull_distances([([T], [T])])
 
 
-def test_l1_crosscheck_solves_once_per_crosscheck(float_solves):
+def test_l1_crosscheck_solves_no_lp(monkeypatch):
+    # the l1 distances are exact closed forms
+    def refuse(*args):
+        raise AssertionError("an L1 crosscheck called an LP solver")
+    monkeypatch.setattr(core.lp, "simplex_float", refuse)
+    monkeypatch.setattr(core.lp, "simplex_exact", refuse)
     model = l1.MeasureModel((("a", F(1, 2), "NONATOMIC"), ("b", F(1, 4), "ATOM"),
                              ("c", F(1, 4), "NONATOMIC")))
     grid = [F(1, 10), F(1, 2), F(1)]
     rep = crosscheck.crosscheck_characterizations(sf(model, 1, 1, -1), grid, seed=7)
     assert all(r.n_candidates for r in rep.rows)
-    assert len(float_solves) == 1
+    assert [r.delta_distance for r in rep.rows] == [F(1, 4), 0, 0]
 
 
 def test_hull_distances_reuse_a_shared_point_list(monkeypatch):

@@ -155,12 +155,12 @@ def test_ck_orbit_hull_checks_its_members():
 def _hull_sizes(monkeypatch):
     """The number of hull points of every LP that a crosscheck solves."""
     sizes = []
-    solve = crosscheck.hull_distances
+    solve = ck.hull_distances
 
     def spy(groups):
         sizes.extend(len(points) for points, targets in groups for _ in targets)
         return solve(groups)
-    monkeypatch.setattr(crosscheck, "hull_distances", spy)
+    monkeypatch.setattr(ck, "hull_distances", spy)
     return sizes
 
 
@@ -207,12 +207,13 @@ def test_ck_crosscheck_keeps_a_margin_below_tol():
         assert rep.agree and rep.rows[0].delta_ok and rep.rows[0].daugavet_ok, n
 
 
-def _l1_instance(seed):
-    """A seeded unit point on 1-4 cells of masses in {1/2, 1, 3/2}, mixed
-    ATOM/NONATOMIC kinds, values in {-2, ..., 2} (zeros included)."""
+def _l1_instance(seed, max_cells=4):
+    """A seeded unit point on 1 to `max_cells` cells of masses in {1/2, 1,
+    3/2}, mixed ATOM/NONATOMIC kinds, values in {-2, ..., 2} (zeros
+    included)."""
     rng = random.Random(seed)
     m = model(*[(F(rng.randrange(1, 4), 2), rng.choice(("ATOM", "NONATOMIC")))
-                for _ in range(rng.randrange(1, 5))])
+                for _ in range(rng.randrange(1, max_cells + 1))])
     return l1.random_unit(m, rng), rng
 
 
@@ -233,62 +234,91 @@ def _exact_distances(points, targets):
     return [core.hull_distance(t, points) for t in targets]
 
 
+def _means(x, far):
+    """The points s chi_c / m_c that the far signs of each cell stand for."""
+    return [x.model.vertex(c, s) for c, signs in enumerate(far) for s in signs]
+
+
 def test_l1_orbit_means_keep_the_exact_distances():
-    # the LP over one mean per far (cell, sign) of x's model has the exact
-    # optimum of the LP over the whole refined far set, mixtures included
+    # the closed form on x's model, one mean per far (cell, sign), gives the
+    # exact distance to the hull of the whole refined far set, mixtures
+    # included
     for seed in range(8):
         x, rng = _l1_instance(seed)
-        _, _, builder = l1.crosscheck_setup(x, None, random.Random(seed))
+        _, _, builder, distances = l1.crosscheck_setup(x, None, random.Random(seed))
         for eps in (F(1, 10), F(1, 3), F(1, 2), F(1), F(2)):
-            count, [(means, targets)] = builder(eps)
+            count, [(far, targets)] = builder(eps)
             full, lift = _full_far_set(x, eps, rng)
-            assert count >= len(means) and bool(count) == bool(full) == bool(means)
-            if not means:
+            assert bool(count) == bool(full) == any(far) and count >= len(_means(x, far))
+            if not count:
                 continue
-            assert len(means) <= 2 * len(x.model.cells)
-            assert all(p.model == x.model for p in [*means, *targets])
+            assert far == [signs for _, signs in l1._far_cells(x, eps)]
+            assert all(t.model == x.model for t in targets)
             want = _exact_distances(full, [lift(t) for t in targets])
-            assert _exact_distances(means, targets) == want, (seed, eps)
+            assert distances([(far, targets)]) == want, (seed, eps)
 
 
 def test_l1_orbit_means_mutated_move_a_distance():
-    # dropping a far mean, or adding the mean of a (cell, sign) that is not
-    # far, moves the distance of some target: the hull points are exactly
-    # the far ones
+    # dropping a far (cell, sign), or adding one that is not far, moves the
+    # distance of some target: the hull is exactly the far one
     moved_by_adding = 0
     for seed in range(8):
         x, _ = _l1_instance(seed)
-        _, _, builder = l1.crosscheck_setup(x, None, random.Random(seed))
+        _, _, builder, distances = l1.crosscheck_setup(x, None, random.Random(seed))
         for eps in (F(1, 3), F(1)):
-            _, [(means, targets)] = builder(eps)
-            if not means:
+            _, [(far, targets)] = builder(eps)
+            if sum(map(len, far)) < 2:
                 continue
-            want = _exact_distances(means, targets)
-            for drop in range(len(means) if len(means) > 1 else 0):
-                assert _exact_distances(means[:drop] + means[drop + 1:], targets) != want
-            for v in x.model.ball_vertices():
-                if v not in means:
-                    assert _exact_distances(means + [v], targets) != want
-                    moved_by_adding += 1
+            want = distances([(far, targets)])
+            for c, signs in enumerate(far):
+                for s in (1, -1):
+                    mutated = [*far]
+                    mutated[c] = [t for t in signs if t != s] if s in signs else [*signs, s]
+                    assert distances([(mutated, targets)]) != want, (seed, eps, c, s)
+                    moved_by_adding += s not in signs
     assert moved_by_adding
 
 
-def test_small_eps_l1_crosscheck_solves_a_small_lp(monkeypatch):
-    # eps 1/1000 refines each cell into 1,000 parts: 4,000 far vertices and
-    # 4 mixtures are counted, and the LP has one hull point per (cell, sign)
-    seen = []
-    solve = crosscheck.hull_distances
+def test_l1_closed_form_matches_the_exact_simplex():
+    # the closed form against `core.hull_distance_info` (the exact simplex)
+    # over the means: seeded models of 1-5 cells with unequal masses, mixed
+    # kinds and zero values; the targets are the crosscheck's and a few
+    # interior points
+    rng = random.Random(2026)
+    checked = two_sign_gaps = 0
+    for seed in range(20):
+        x, _ = _l1_instance(seed, max_cells=5)
+        _, _, builder, distances = l1.crosscheck_setup(x, None, random.Random(seed))
+        for eps in (F(1, 10), F(1, 3), F(1, 2), F(1), F(3, 2)):
+            count, [(far, targets)] = builder(eps)
+            if not count:
+                continue
+            targets = [*targets, F(0) * x, F(1, 2) * x,
+                       *(F(rng.randrange(0, 4), 4) * t for t in targets[1:3])]
+            means = _means(x, far)
+            got = distances([(far, targets)])
+            assert all(isinstance(d, F) for d in got)
+            want = [core.hull_distance_info(t, means).value for t in targets]
+            assert got == want, (seed, eps)
+            checked += len(got)
+            two_sign_gaps += any(len(s) == 2 for s in far) and any(
+                sum(abs(v) * c.mass for v, c in zip(t.values, t.model.cells)) < 1
+                for t in targets)
+    assert checked > 400 and two_sign_gaps
 
-    def spy(groups):
-        seen.extend(groups)
-        return solve(groups)
-    monkeypatch.setattr(crosscheck, "hull_distances", spy)
+
+def test_small_eps_l1_crosscheck_solves_no_lp(monkeypatch):
+    # eps 1/1000 refines each cell into 1,000 parts: 4,000 far vertices and
+    # 4 mixtures are counted, and the distances are exact with no LP
+    def refuse(*args):
+        raise AssertionError("an L1 crosscheck called an LP solver")
+    monkeypatch.setattr(core.lp, "simplex_float", refuse)
+    monkeypatch.setattr(core.lp, "simplex_exact", refuse)
     x = l1.point_from_json({"cells": [{"id": "a", "mass": "1/2", "kind": "NONATOMIC"},
                                       {"id": "b", "mass": "1/2", "kind": "NONATOMIC"}],
                             "values": ["1", "-1"]})
     rep = crosscheck.crosscheck_characterizations(x, [F(1, 1000)])
     assert [r.n_candidates for r in rep.rows] == [4004]
     assert rep.rows[0].delta_distance == 0 and max(rep.rows[0].probe_distances) == 0
+    assert isinstance(rep.rows[0].delta_distance, F)
     assert rep.agree and rep.theorem_daugavet
-    [(points, targets)] = seen
-    assert len(points) <= 4 and all(p.model == x.model for p in [*points, *targets])

@@ -132,23 +132,26 @@ def test_crosscheck_setup_takes_point_tol_rng():
     for setup in setups.values():
         assert [*inspect.signature(setup).parameters] == ["x", "tol", "rng"]
     # each eps gives (count, groups): count is the row's far candidate
-    # count, a group is (hull points, targets), and the first target of the
-    # first group is the anchor
+    # count, a group is (hull, targets), and the first target of the first
+    # group is the anchor; the model's distance function maps the groups to
+    # one distance per target
     model = l1.MeasureModel((("a", 1, "NONATOMIC"),))
     points = {"l1": l1.StepFunction(model, (1,)), "ck": ck.TailSequence((0,), 1)}
     for name, setup in setups.items():
-        _, theorem, builder = setup(points[name], None, random.Random(0))
+        _, theorem, builder, distances = setup(points[name], None, random.Random(0))
         count, groups = builder(Fraction(1, 2))
-        assert isinstance(count, int) and isinstance(groups, list)
-        for hull_points, targets in groups:
-            assert isinstance(hull_points, list) and count >= len(hull_points) > 0
-            assert all(t.space == name for t in [*hull_points, *targets])
+        assert isinstance(count, int) and isinstance(groups, list) and count > 0
+        assert all(t.space == name for _, targets in groups for t in targets)
         anchor = groups[0][1][0]
         assert anchor is points[name] and anchor.norm() == 1
-        if name == "l1":  # one group, a hull point per far (cell, sign) of x's model
-            [(hull_points, targets)] = groups
-            assert all(p.model == anchor.model for p in [*hull_points, *targets])
-            assert count >= len(hull_points) <= 2 * len(model.cells)
+        dists = distances(groups)
+        assert len(dists) == sum(len(targets) for _, targets in groups)
+        if name == "l1":  # one group, the far signs of each cell of x's model
+            [(far, targets)] = groups
+            assert far == [[1, -1]] and all(t.model == anchor.model for t in targets)
+            assert distances is l1.crosscheck_distances and dists[0] == 0
         else:  # a group per target, and a witness family's orbit is one hull point
-            assert theorem and all(len(targets) == 1 and count > len(pts)
+            assert distances is ck.hull_distances
+            assert theorem and all(len(targets) == 1 and count > len(pts) > 0
+                                   and all(p.space == name for p in pts)
                                    for pts, targets in groups)
