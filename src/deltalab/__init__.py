@@ -19,7 +19,6 @@ from .core import (
     Slice,
     Verdict,
     VerificationError,
-    check_delta_via_slices,
     hull_distance,
     hull_distance_info,
     id_minus_rank1_norm,
@@ -40,8 +39,8 @@ def __getattr__(name):
 __all__ = [
     "Certificate", "CertificationError", "DeltaLabError", "Rank1Operator",
     "Slice", "Verdict", "VerificationError",
-    "check_delta_via_slices", "crosscheck_characterizations", "hull_distance",
-    "hull_distance_info", "id_minus_rank1_norm", "slice_diameter",
+    "crosscheck_characterizations", "hull_distance", "hull_distance_info",
+    "id_minus_rank1_norm", "slice_diameter",
     "ck", "cli", "core", "crosscheck", "l1", "lp", "muntz", "serialize",
     "sums", "util", "__version__",
 ]

@@ -259,11 +259,6 @@ class SequenceFunctional(Functional):
         verts = cube_slice_vertices(len(dims), dims, 1 - eps)
         return SlicePolytope("winf", None, tuple(verts))
 
-    def point_from_coords(self, coords) -> TailSequence:
-        if self.variant is Variant.LINF_N:
-            return TailSequence(tuple(coords), None, Variant.LINF_N)
-        return TailSequence(tuple(coords[:-1]), coords[-1], Variant.C)
-
 
 # ---------------------------------------------------------------------------
 # decision procedures and constructions
@@ -428,24 +423,6 @@ def convex_dld2p_decompose_ck(f: TailSequence, eps) -> CkDecomposition:
         if not ok:
             raise VerificationError("decomposition part is not a Daugavet point")
     return CkDecomposition(lam, f_plus, f_minus, k0 + 1, err)
-
-
-@dataclass(frozen=True)
-class C0Report:
-    rows: tuple
-    all_delta_no: bool
-
-
-def c0_delta_empty_check(samples: Sequence[TailSequence]) -> C0Report:
-    """Every unit c0 point is refuted through the c-embedding (limit 0 < 1)."""
-    rows = []
-    for p in samples:
-        if p.variant is not Variant.C0:
-            raise DeltaLabError("samples must be C0 points")
-        embedded = TailSequence(p.prefix, Fraction(0), Variant.C)
-        ref = refute_delta_ck(embedded)
-        rows.append((p, ref.certificate.verdict, ref.bound))
-    return C0Report(tuple(rows), all(v is Verdict.DELTA_NO for _, v, _ in rows))
 
 
 # ---------------------------------------------------------------------------

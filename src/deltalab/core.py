@@ -14,9 +14,9 @@ sequences, generalized polynomials).  Polyhedral payloads expose an exact
 coordinate embedding; the sup-norm payloads expose certified enclosures and
 are handled by a cutting-plane loop.
 
-On the slice criterion for Delta points we use the reading that the far
-witness must lie inside the slice itself (matching the Daugavet criterion);
-`check_delta_via_slices` documents and implements that reading.
+Delta and Daugavet verdicts come from each model's characterization theorem;
+`crosscheck` checks them against hull distances.  Slices enter only through
+their exact diameters (`slice_diameter`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 import scipy  # scipy.sparse loads with the first LP matrix
@@ -107,9 +107,6 @@ class Slice:
         if abs(self.functional.dual_norm() - 1) > UNIT_TOL:
             raise DeltaLabError("slice functional must have dual norm 1")
 
-    def contains(self, point):
-        return point.norm() <= 1 + UNIT_TOL and self.functional(point) > 1 - self.eps
-
 
 @dataclass(frozen=True)
 class Rank1Operator:
@@ -117,13 +114,6 @@ class Rank1Operator:
 
     functional: Functional
     direction: Any
-
-    def apply(self, point):
-        return self.functional(point) * self.direction
-
-    @property
-    def is_projection(self):
-        return abs(self.functional(self.direction) - 1) <= UNIT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +481,8 @@ def id_minus_rank1_norm(op: Rank1Operator):
         return Fraction(1)
     impl = getattr(op.direction, "_id_minus_rank1_norm", None)
     if impl is None:
-        raise NotPolyhedralError(
-            "exact operator norms need a polyhedral model; use id_minus_rank1_lower_bound"
-        )
+        raise NotPolyhedralError("exact operator norms need a polyhedral model")
     return impl(op.functional)
-
-
-def id_minus_rank1_lower_bound(op: Rank1Operator, ball_points: Sequence) -> float:
-    """Sampled lower bound sup ||(Id-T)p|| over the supplied ball points."""
-    best = 0.0
-    for p in ball_points:
-        if p.norm() > 1 + UNIT_TOL:
-            raise DeltaLabError("lower-bound sample outside the unit ball")
-        img = p - op.functional(p) * op.direction
-        best = max(best, float(img.norm()))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -608,57 +585,3 @@ def slice_diameter(slc: Slice):
         raise EmptySliceError("no unit-ball point satisfies the slice")
     return poly.diameter()
 
-
-# ---------------------------------------------------------------------------
-# slice-wise Delta search
-
-
-@dataclass(frozen=True)
-class SliceSearchRow:
-    index: int
-    found: bool
-    witness: Any
-    distance: Any
-    functional_value: Any
-
-
-@dataclass(frozen=True)
-class SliceSearchReport:
-    eps: Any
-    rows: tuple
-    positive: bool
-
-
-def check_delta_via_slices(x, eps, slice_family: Sequence[Slice]) -> SliceSearchReport:
-    """For each slice containing x, hunt for y in the slice with
-    ||x - y|| >= 2 - eps.
-
-    Polyhedral models search the slice polytope's vertices (exact).  Slices
-    where nothing is found, and every slice of a model without a slice
-    polytope, are reported NEGATIVE rather than raised.
-    """
-    require_unit(x)
-    eps = as_fraction(eps)
-    rows = []
-    for idx, slc in enumerate(slice_family):
-        if not slc.contains(x):
-            raise DeltaLabError(f"slice {idx} does not contain the anchor point")
-        best_y, best_d = None, None
-        build = getattr(slc.functional, "slice_polytope", None)
-        if build is not None:
-            poly = build(slc.eps)
-            lift = slc.functional.point_from_coords
-            for vert in poly.vertices:
-                y = lift(vert)
-                d = (x - y).norm()
-                if best_d is None or d > best_d:
-                    best_y, best_d = y, d
-        found = best_d is not None and best_d >= 2 - eps
-        rows.append(SliceSearchRow(
-            index=idx,
-            found=found,
-            witness=best_y if found else None,
-            distance=best_d,
-            functional_value=slc.functional(best_y) if best_y is not None else None,
-        ))
-    return SliceSearchReport(eps=eps, rows=tuple(rows), positive=all(r.found for r in rows))

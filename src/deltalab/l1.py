@@ -320,9 +320,6 @@ class StepFunctional(Functional):
         verts = crosspolytope_slice_vertices(self.model.masses, self.coeffs, 1 - eps)
         return SlicePolytope("w1", self.model.masses, tuple(verts))
 
-    def point_from_coords(self, coords) -> StepFunction:
-        return StepFunction(self.model, tuple(coords))
-
 
 # ---------------------------------------------------------------------------
 # decision procedures and constructions

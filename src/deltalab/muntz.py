@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -107,13 +108,15 @@ class ExponentLadder:
                 if pred(self.explicit[k - 1]):
                     return k
             raise LadderExhaustedError("LADDER_TOO_SHORT: predicate never satisfied")
+        # Predicates read lambda as a float, so doubling stops where lambda
+        # leaves the float range (or where the index does, on a rule that
+        # stays bounded and so is no Muntz ladder).
         hi = 1
-        for _ in range(200):
-            if pred(self.lambda_at(hi)):
-                break
+        while not pred(self.lambda_at(hi)):
             hi *= 2
-        else:
-            raise LadderExhaustedError("LADDER_TOO_SHORT: predicate unreachable")
+            if max(hi, self.lambda_at(hi)) > sys.float_info.max:
+                raise LadderExhaustedError(
+                    "LADDER_TOO_SHORT: predicate unreachable within the float range")
         lo = max(1, hi // 2)
         while lo < hi:
             mid = (lo + hi) // 2

@@ -139,8 +139,11 @@ class AbsoluteNorm:
 
     @classmethod
     def polygon(cls, quadrant_vertices):
-        return cls(kind="polygonal", quadrant_vertices=tuple(quadrant_vertices),
-                   label="poly")
+        verts = tuple((as_fraction(a), as_fraction(b)) for a, b in quadrant_vertices)
+        # the label is a spec of the exact vertices, so it parses back to this norm
+        spec = ",".join("(%s)" % ",".join(str(v) if v.denominator == 1 else f'"{v}"'
+                                          for v in pair) for pair in verts)
+        return cls(kind="polygonal", quadrant_vertices=verts, label=f"poly:[{spec}]")
 
     @classmethod
     def parse(cls, spec: str) -> "AbsoluteNorm":

@@ -184,9 +184,13 @@ def test_decompose_gives_hull_membership(seed):
 def test_c0_examples():
     e1 = seq((1,), variant=ck.Variant.C0)
     two = seq((1, F(1, 2)), variant=ck.Variant.C0)
-    rep = ck.c0_delta_empty_check([e1, two])
-    assert rep.all_delta_no
-    assert [b for _, _, b in rep.rows] == [1, F(3, 2)]
+    bounds = []
+    for p in (e1, two):
+        ok, cert = ck.is_daugavet_point_ck(p)
+        assert not ok and cert.verdict is core.Verdict.DELTA_NO
+        assert cert.recheck()
+        bounds.append(cert.refutation.bound)
+    assert bounds == [1, F(3, 2)]
 
 
 @given(st.integers(0, 10**6))
@@ -197,8 +201,9 @@ def test_c0_always_refuted(seed):
     if not any(abs(v) == 1 for v in prefix):
         prefix[0] = F(1)
     p = seq(prefix, variant=ck.Variant.C0)
-    rep = ck.c0_delta_empty_check([p])
-    assert rep.all_delta_no
+    ok, cert = ck.is_daugavet_point_ck(p)
+    assert not ok and cert.verdict is core.Verdict.DELTA_NO
+    assert cert.recheck()
 
 
 def _sup_difference(a, b):

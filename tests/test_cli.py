@@ -150,6 +150,23 @@ def test_sums_dirichlet_csv(capsys):
     assert "5" in out
 
 
+HALF_POLY = 'poly:[(1,"1/2"),("1/2",1)]'
+
+
+@pytest.mark.parametrize("norm, check, expected", [
+    ("poly:[(1,1)]", "octahedral", {"verdict": True, "witness": ["1", "1"], "value": "2"}),
+    (HALF_POLY, "octahedral", {"verdict": False, "value": "1.75"}),
+    (HALF_POLY, "alpha",
+     {"verdict": "UNDECIDED", "note": "neither octahedral nor strictly convex"}),
+], ids=["square-octahedral", "octagon-octahedral", "octagon-alpha"])
+def test_sums_polygon_norms(norm, check, expected, capsys):
+    code, out = run_cli(["sums", "--norm", norm, "--check", check], capsys)
+    assert code == 0
+    res = json.loads(out)["results"][0]
+    assert res["norm"] == norm  # the label is the spec itself
+    assert {k: res[k] for k in expected} == expected
+
+
 def test_witness_ck(capsys):
     code, out = run_cli(
         ["witness", "--space", "ck", "--point", '{"prefix":[],"limit":1}',
@@ -186,6 +203,16 @@ def test_witness_muntz_takes_fractions(capsys):
     code, out = run_cli(argv + ["--eps", "0.5", "--delta", "0.15"], capsys)
     assert code == 0
     assert json.loads(out)["results"][0] == res
+
+
+def test_witness_muntz_small_delta(capsys):
+    # delta 0.05 reaches ladder indices near 2^220, exponents near 2^440
+    code, out = run_cli(
+        ["witness", "--space", "muntz", "--point", '{"terms":[[1,"1"]]}',
+         "--target", '{"terms":[[2,"1/2"]]}', "--eps", "0.5", "--delta", "0.05"],
+        capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["count"] == 40
 
 
 def test_bernstein_command(capsys):

@@ -514,6 +514,12 @@ def test_ladder_min_index_where():
     short = muntz.ExponentLadder.from_list([1, 4])
     with pytest.raises(muntz.LadderExhaustedError):
         short.min_index_where(lambda lam: lam > 100)
+    # a rule ladder stops where its exponents leave the float range
+    with pytest.raises(muntz.LadderExhaustedError):
+        LAD.min_index_where(lambda lam: float(lam) < 0)
+    bounded = muntz.ExponentLadder(name="bounded", rule=lambda n: 1 - F(1, n + 1))
+    with pytest.raises(muntz.LadderExhaustedError):
+        bounded.min_index_where(lambda lam: lam >= 1)
 
 
 def test_polynomials_need_shared_ladders():

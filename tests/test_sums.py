@@ -59,6 +59,13 @@ def test_norm_parse_round_trip():
         z = sums.SumPoint(ONE, ZERO, sums.AbsoluteNorm.parse(spec))
         assert z.norm_rule.name() == spec
         assert sums.decode_point(sums.encode_point(z)).norm_rule == z.norm_rule
+    # a polygon's label spells its exact quadrant vertices
+    assert HEX.name() == 'poly:[(1,0),("3/4","3/4"),(0,1)]'
+    assert n == HEX
+    for norm in (HEX, OCTAGON):
+        assert sums.AbsoluteNorm.parse(norm.name()) == norm
+        z = sums.SumPoint(ONE, ZERO, norm)
+        assert sums.decode_point(sums.encode_point(z)) == z
 
 
 def test_dual_norms():
@@ -402,6 +409,13 @@ def test_construct_with_l1_component():
     results = sums.sum_daugavet_construct(x, ONE, L1N, F(1, 2), F(1, 2),
                                           targets, eps=F(1, 4), delta=F(1, 8))
     assert results[0].min_distance >= 2 - F(1, 4) - 1e-9
+
+
+def test_construct_with_muntz_component():
+    targets = [sums.SumPoint(F(1, 2) * T, F(1, 2) * ONE, L1N)]
+    results = sums.sum_daugavet_construct(T, ONE, L1N, F(1, 2), F(1, 2),
+                                          targets, eps=1, delta=1)
+    assert results[0].min_distance >= 2 - 1
 
 
 def test_lift_example_dichotomy():
