@@ -30,11 +30,12 @@ from .core import (
     Verdict,
     WitnessRecord,
     cube_slice_vertices,
+    far_distance,
     hull_distances,
-    mean,
     num_from_json,
     num_to_json,
     require_unit,
+    verify_far_family,
 )
 from .util import UNIT_TOL, as_fraction, sgn
 
@@ -284,14 +285,14 @@ class CkWitness:
     fresh_indices: tuple
     min_distance: Fraction
     avg_error: Fraction
-    average: TailSequence
     certificate: Certificate = None
 
 
 def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitness:
     """m far points surrounding g: copies of g with one fresh index flipped
     to -lim(f).  Each is 2-far from f at that index (f equals its limit
-    there), and the average moves g by at most 2/m."""
+    there), and the average moves g by at most 2/m; `core.verify_far_family`
+    checks both."""
     eps = as_fraction(eps)
     if not eps > 0:
         raise DeltaLabError("witness construction needs eps > 0")
@@ -305,28 +306,15 @@ def daugavet_witness_ck(f: TailSequence, g: TailSequence, eps, m: int) -> CkWitn
 
     start = max(len(f.prefix), len(g.prefix))
     flip = -f.limit
-    members, fresh = [], []
-    for i in range(m):
-        members.append(g.with_value(start + i, flip))
-        fresh.append(start + i)
-
-    dmin = min(f.distance(gi) for gi in members)
-    if dmin < 2 - eps:
-        raise VerificationError(f"witness distance {float(dmin)} below 2 - eps")
-    avg = mean(members)
-    err = g.distance(avg)
-    if err > Fraction(2, m):
-        raise VerificationError(f"average drifted {float(err)} > 2/m")
-    for gi in members:
-        if gi.norm() > 1:
-            raise VerificationError("witness member left the unit ball")
+    members = tuple(g.with_value(start + i, flip) for i in range(m))
+    weights, bound = (Fraction(1, m),) * m, Fraction(2, m)
+    dmin, err = verify_far_family(f, members, weights, g, eps, bound)
     cert = Certificate(
         verdict=Verdict.DAUGAVET_YES,
         witness=(WitnessRecord(
-            eps=eps, delta=Fraction(2, m), target=g,
-            members=tuple((gi, Fraction(1, m)) for gi in members),
-            min_distance=dmin, combo_error=Fraction(2, m), anchor=f),))
-    return CkWitness(tuple(members), tuple(fresh), dmin, err, avg, cert)
+            eps=eps, delta=bound, target=g, members=tuple(zip(members, weights)),
+            min_distance=dmin, combo_error=bound, anchor=f),))
+    return CkWitness(members, tuple(range(start, start + m)), dmin, err, cert)
 
 
 @dataclass(frozen=True)
@@ -531,16 +519,14 @@ def _orbit_hull(x: TailSequence, target: TailSequence, eps, m: int, width: int) 
     target with each index of S set to c = (-lim x + (|S| - 1) lim
     target)/|S|, so the orbit's columns become one, and its |S| equal rows
     one: the stand-in target.with_value(min S, c).  The distance is
-    unchanged.  Each written member, and one member of S, is checked to be
-    in the ball and at least 2 - eps from x."""
+    unchanged.  Each written member, and one member of S, passes
+    `core.far_distance`."""
     start = max(len(x.prefix), len(target.prefix))
     flip, first = -x.limit, max(start, width)
     kept = [target.with_value(j, flip) for j in range(start, min(start + m, first))]
     n = start + m - first
     orbit = [target.with_value(first, flip)] if n > 0 else []
-    for member in kept + orbit:
-        if member.norm() > 1 or x.distance(member) < 2 - eps:
-            raise VerificationError("witness member left the unit ball or came within 2 - eps")
+    far_distance(x, kept + orbit, eps)
     if orbit:
         kept.append(target.with_value(first, (flip + (n - 1) * target.limit) / n))
     return kept

@@ -17,6 +17,10 @@ are handled by a cutting-plane loop.
 Delta and Daugavet verdicts come from each model's characterization theorem;
 `crosscheck` checks them against hull distances.  Slices enter only through
 their exact diameters (`slice_diameter`).
+
+Every far family that the ck, l1 and sum constructions build, and every
+witness record that `Certificate.recheck` re-verifies, passes one check,
+`verify_far_family`; the Muntz witness keeps its own (`muntz`).
 """
 
 from __future__ import annotations
@@ -130,7 +134,8 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class WitnessRecord:
     """A far family for one (eps, delta, target): each member is far from the
-    anchor and the weighted combination approximates the target."""
+    anchor and the weighted combination approximates the target (None: the
+    family claims no combination)."""
 
     eps: Any
     delta: Any
@@ -138,7 +143,7 @@ class WitnessRecord:
     members: tuple  # ((point, weight), ...)
     min_distance: Any
     combo_error: Any
-    anchor: Any = None
+    anchor: Any
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,9 @@ class Certificate:
     log: tuple = ()
 
     def recheck(self):
-        """Re-verify whatever the certificate claims from its own data."""
+        """Re-verify whatever the certificate claims from its own data: each
+        witness record through `verify_far_family`, whose minimum distance
+        must be the recorded one."""
         if self.refutation is not None and self.verdict in (Verdict.DELTA_NO, Verdict.DAUGAVET_NO):
             if self.refutation.margin <= 0:
                 raise VerificationError("refutation carries no positive margin")
@@ -172,23 +179,12 @@ class Certificate:
                         f"||Id-P|| = {float(norm)} exceeds certified bound {float(self.refutation.bound)}"
                     )
         for rec in self.witness:
-            for member, _ in rec.members:
-                if member.norm() > 1 + UNIT_TOL:
-                    raise VerificationError("witness member leaves the unit ball")
-                if rec.anchor is not None:
-                    d = (rec.anchor - member).norm()
-                    # exact payload norms compare exactly; enclosure-backed
-                    # ones get the enclosure slack
-                    slack = 0 if isinstance(d, Fraction) else 1e-6
-                    if d < 2 - rec.eps - slack:
-                        raise VerificationError(
-                            f"witness member at distance {float(d)} < 2 - eps")
-            combo = convex_combination([m for m, _ in rec.members],
-                                       [w for _, w in rec.members])
-            if rec.target is not None and combo is not None:
-                err = (rec.target - combo).norm()
-                if err > rec.combo_error + UNIT_TOL:
-                    raise VerificationError("witness combination drifted from target")
+            dmin, _ = verify_far_family(rec.anchor, *zip(*rec.members), rec.target,
+                                        rec.eps, rec.delta)
+            if dmin != rec.min_distance:
+                raise VerificationError(
+                    f"witness min_distance {float(rec.min_distance)} is not the "
+                    f"re-derived {float(dmin)}")
         return True
 
 
@@ -464,6 +460,73 @@ def mean(points, counts=None):
 def hull_distance(target, points):
     """min over convex weights of ||target - sum_i w_i p_i|| (`hull_distance_info`)."""
     return hull_distance_info(target, points).value
+
+
+# ---------------------------------------------------------------------------
+# far families: the one check of every witness
+
+
+# The one slack of `at_most`, for comparisons that involve a float
+_FLOAT_SLACK = 1e-9
+
+
+def at_most(a, b):
+    """a <= b: exact when both are ints or Fractions, with _FLOAT_SLACK
+    otherwise (a float norm or an enclosure's upper bound)."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return a <= b
+    return float(a) <= float(b) + _FLOAT_SLACK
+
+
+def distance(a, b):
+    """||a - b||: the payload's fused `distance` where its type has one,
+    the norm of the difference otherwise."""
+    fused = getattr(a, "distance", None)
+    return fused(b) if fused is not None else (a - b).norm()
+
+
+def far_distance(anchor, members, eps):
+    """Check that each distinct member (by identity) lies in the unit ball
+    and at least 2 - eps from `anchor`; returns the least distance."""
+    far = 2 - as_fraction(eps)
+    dists = []
+    for m in {id(m): m for m in members}.values():
+        n, d = m.norm(), distance(anchor, m)
+        if not at_most(n, 1):
+            raise VerificationError(f"far-family member of norm {float(n)} leaves the unit ball")
+        if not at_most(far, d):
+            raise VerificationError(
+                f"far-family member at distance {float(d)} < 2 - eps from the anchor")
+        dists.append(d)
+    return min(dists)
+
+
+def verify_far_family(anchor, members, weights, target, eps, delta):
+    """Check a far family: positive weights summing to exactly 1, every
+    member in the ball and 2 - eps far from `anchor` (`far_distance`), and
+    the weighted combination within delta of `target` (None claims no
+    combination).  A member that repeats (the same object) is measured once
+    with its weights summed, and the combination is `mean` with integer
+    counts over the weights' common denominator.  Returns (least distance,
+    combination error), the error None without a target."""
+    den = math.lcm(*{w.denominator for w in weights})
+    tally = {}
+    for m, w in zip(members, weights):
+        if w <= 0:
+            raise VerificationError(f"far-family weight {w} is not positive")
+        entry = tally.setdefault(id(m), [m, 0])
+        entry[1] += w.numerator * (den // w.denominator)
+    if sum(k for _, k in tally.values()) != den:
+        raise VerificationError("far-family weights do not sum to 1")
+    points, counts = zip(*tally.values())
+    dmin = far_distance(anchor, points, eps)
+    if target is None:
+        return dmin, None
+    err = distance(target, mean(points, counts))
+    if not at_most(err, as_fraction(delta)):
+        raise VerificationError(
+            f"far-family combination misses the target by {float(err)} > {float(delta)}")
+    return dmin, err
 
 
 # ---------------------------------------------------------------------------

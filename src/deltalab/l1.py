@@ -33,12 +33,13 @@ from .core import (
     VerificationError,
     Verdict,
     WitnessRecord,
-    convex_combination,
     crosspolytope_slice_vertices,
+    far_distance,
     num_from_json,
     num_to_json,
     require_unit,
     slice_diameter,
+    verify_far_family,
 )
 from .util import UNIT_TOL, as_fraction, sgn
 
@@ -100,9 +101,6 @@ class MeasureModel:
     @property
     def masses(self):
         return tuple(c.mass for c in self.cells)
-
-    def total_mass(self) -> Fraction:
-        return sum(self.masses, Fraction(0))
 
     def vertex(self, i, s):
         """The ball vertex s * indicator / mass of cell i, s = +-1."""
@@ -456,14 +454,12 @@ def daugavet_witness_l1(f: StepFunction, x0star: StepFunctional, eps, delta,
 
     g = model.vertex(model.index(witness_id), sgn(x0star.coeffs[i]) or 1)
 
-    dist = (fl - g).norm()
+    dist = far_distance(fl, [g], eps)
     value = xl(g)
     if g.norm() != 1:
         raise VerificationError("witness is not unit norm")
     if not value > 1 - delta:
         raise VerificationError(f"witness misses the slice: phi(g) = {float(value)}")
-    if not dist >= 2 - eps:
-        raise VerificationError(f"witness too close: ||f - g|| = {float(dist)}")
     cert = Certificate(
         verdict=Verdict.DAUGAVET_YES,
         witness=(WitnessRecord(eps=eps, delta=delta, target=None,
@@ -570,8 +566,9 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
 
     Needs f unit with atomless support.  Weights are the target's cell
     masses; a +-spike pair absorbs any norm deficit.  The combination error
-    is exactly zero (gamma accepted for interface symmetry).  Returns
-    (members, weights, f, target), f and target lifted to the refined model.
+    is exactly zero, as `core.verify_far_family` checks (gamma accepted for
+    interface symmetry).  Returns (members, weights, f, target), f and
+    target lifted to the refined model.
     """
     eps = as_fraction(eps)
     require_unit(f)
@@ -604,12 +601,7 @@ def delta_family(f: StepFunction, target: StepFunction, eps, gamma=0):
         members += [plus, -plus]
         weights += [deficit / 2, deficit / 2]
 
-    for m in members:
-        if (fl - m).norm() < 2 - eps:
-            raise VerificationError("far-family member is not far enough")
-    combo = convex_combination(members, weights)
-    if (tgt - combo).norm() != 0:
-        raise VerificationError("far family fails to reproduce the target")
+    verify_far_family(fl, members, weights, tgt, eps, 0)
     return members, weights, fl, tgt
 
 

@@ -610,7 +610,7 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta) -
                 break
             u_next *= 0.5
             if u_next < 1e-300:
-                raise CertificationError("spike tail threshold underflowed")
+                raise LadderExhaustedError("LADDER_TOO_SHORT: spike tail leaves the float range")
         else:
             raise CertificationError("no certified tail threshold for spike")
         thresholds.append(u_next)

@@ -31,9 +31,10 @@ from .core import (
     DeltaLabError,
     VerificationError,
     convex_combination,
+    distance,
     hull_norm_lp,
-    mean,
     require_unit,
+    verify_far_family,
 )
 from .util import UNIT_TOL, as_fraction
 
@@ -225,15 +226,7 @@ class SumPoint:
     def distance(self, other):
         if not isinstance(other, SumPoint) or other.norm_rule != self.norm_rule:
             raise DeltaLabError("sum points must share the norm rule")
-        return self.norm_rule(_component_distance(self.x, other.x),
-                              _component_distance(self.y, other.y))
-
-
-def _component_distance(a, b):
-    """||a - b|| in a component space: its fused `distance` where the point
-    type has one, the norm of the difference otherwise."""
-    fused = getattr(a, "distance", None)
-    return fused(b) if fused is not None else (a - b).norm()
+        return self.norm_rule(distance(self.x, other.x), distance(self.y, other.y))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +339,9 @@ _POLYGON_VALUE_GRID = 4096  # unit-arc steps of a witness-free polygon's value
 
 def is_positively_octahedral(norm: AbsoluteNorm) -> OctahedralResult:
     """Is there a nonnegative unit pair adding norm 2 with both unit vectors?
-    Exact for every kind.  `value` is 2 with a witness, N(1+s, s) at
-    s = 1/N(1,1) for other lp, and a grid maximum for other polygons."""
+    The verdict is exact for every kind.  `value` is 2 with a witness and
+    N(1+s, s) at s = 1/N(1,1) for other lp; for other polygons it is a
+    float grid maximum, so `exact` is False there."""
     witness = _octahedral_witness(norm)
     if witness is not None:
         return OctahedralResult(True, witness, 2.0, True)
@@ -357,7 +351,7 @@ def is_positively_octahedral(norm: AbsoluteNorm) -> OctahedralResult:
     gauge = _float_gauge(norm)
     best = max(min(gauge(a + 1, b), gauge(a, b + 1))
                for a, b in _unit_arc(norm, _POLYGON_VALUE_GRID))
-    return OctahedralResult(False, None, best, True)
+    return OctahedralResult(False, None, best, False)
 
 
 def _float_gauge(norm):
@@ -569,47 +563,6 @@ def _equal_counts(parts_x, parts_y, eps):
     return n, xs, ys
 
 
-def _at_most(a, b):
-    """a <= b: exact when both are Fractions, with 1e-9 slack for floats."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a <= b
-    return float(a) <= float(b) + 1e-9
-
-
-def _tally(points):
-    """Distinct objects among `points` (by identity) with their counts."""
-    counts = {}
-    for p in points:
-        entry = counts.setdefault(id(p), [p, 0])
-        entry[1] += 1
-    return list(counts.values())
-
-
-def _verify_far_average(anchor, members, eps, target, bound, what):
-    """Re-verify that every member is 2 - eps far from the anchor and that
-    the equal-weight average of the members lies within bound of target;
-    returns (min distance, average error) as floats.
-
-    Members repeat by their Dirichlet counts, so each distinct component
-    member is measured once, each distinct pair of components is combined
-    in the sum norm once, and the average is sum_i k_i m_i / n over the
-    distinct component members."""
-    xs, ys = _tally(m.x for m in members), _tally(m.y for m in members)
-    dx = {id(p): _component_distance(anchor.x, p) for p, _ in xs}
-    dy = {id(p): _component_distance(anchor.y, p) for p, _ in ys}
-    pairs = {(id(m.x), id(m.y)) for m in members}
-    dmin = min(anchor.norm_rule(dx[i], dy[j]) for i, j in pairs)
-    if not _at_most(2 - as_fraction(eps), dmin):
-        raise VerificationError(
-            f"{what} member at distance {float(dmin)} < 2 - eps from the anchor")
-    avg = SumPoint(mean(*zip(*xs)), mean(*zip(*ys)), anchor.norm_rule)
-    err = target.distance(avg)
-    if not _at_most(err, as_fraction(bound)):
-        raise VerificationError(
-            f"{what} average misses the target by {float(err)} > {float(bound)}")
-    return float(dmin), float(err)
-
-
 def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
                            eps, delta) -> list:
     """Far families in X (+)_N Y around z = (a x, b y) for each target.
@@ -670,9 +623,9 @@ def sum_daugavet_construct(x, y, norm: AbsoluteNorm, a, b, targets: Sequence,
         n, counts = dirichlet_average([w for _, w in parts], gamma)
         members = [m for (m, _), k in zip(parts, counts) for _ in range(k)]
         anchor = SumPoint(a * anchor_x, b * anchor_y, norm)
-        dmin, err = _verify_far_average(anchor, members, eps, target_check, delta,
-                                        "constructed")
-        results.append(SumConstructResult(target, tuple(members), n, dmin, err))
+        dmin, err = verify_far_family(anchor, members, [Fraction(1, n)] * n, target_check,
+                                      eps, delta)
+        results.append(SumConstructResult(target, tuple(members), n, float(dmin), float(err)))
     return results
 
 
@@ -705,8 +658,8 @@ def sum_delta_lift(x, y, norm: AbsoluteNorm, a, b, eps, gamma) -> LiftResult:
     n, xs, ys = _equal_counts(parts_x, parts_y, gam)
     members = [SumPoint(px, py, norm) for px, py in zip(xs, ys)]
     z = SumPoint(a * anchor_x, b * anchor_y, norm)
-    dmin, err = _verify_far_average(z, members, eps, z, gamma, "lift")
-    return LiftResult(z, tuple(members), n, dmin, err)
+    dmin, err = verify_far_family(z, members, [Fraction(1, n)] * n, z, eps, gamma)
+    return LiftResult(z, tuple(members), n, float(dmin), float(err))
 
 
 # ---------------------------------------------------------------------------

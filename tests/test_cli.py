@@ -154,8 +154,9 @@ HALF_POLY = 'poly:[(1,"1/2"),("1/2",1)]'
 
 
 @pytest.mark.parametrize("norm, check, expected", [
-    ("poly:[(1,1)]", "octahedral", {"verdict": True, "witness": ["1", "1"], "value": "2"}),
-    (HALF_POLY, "octahedral", {"verdict": False, "value": "1.75"}),
+    ("poly:[(1,1)]", "octahedral",
+     {"verdict": True, "witness": ["1", "1"], "value": "2", "exact": True}),
+    (HALF_POLY, "octahedral", {"verdict": False, "value": "1.75", "exact": False}),
     (HALF_POLY, "alpha",
      {"verdict": "UNDECIDED", "note": "neither octahedral nor strictly convex"}),
 ], ids=["square-octahedral", "octagon-octahedral", "octagon-alpha"])
@@ -213,6 +214,18 @@ def test_witness_muntz_small_delta(capsys):
         capsys)
     assert code == 0
     assert json.loads(out)["results"][0]["count"] == 40
+
+
+def test_witness_muntz_tail_underflow_exits_one(capsys):
+    # at delta 0.02 a spike's tail threshold leaves the float range: nothing
+    # was built, so this is a too-short ladder (exit 1), not a failed re-check
+    code, out = run_cli(
+        ["witness", "--space", "muntz", "--point", '{"terms":[[1,"1"]]}',
+         "--target", '{"terms":[[2,"1/2"]]}', "--eps", "0.5", "--delta", "0.02"],
+        capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "LadderExhaustedError: LADDER_TOO_SHORT: spike tail leaves the float range")
 
 
 def test_bernstein_command(capsys):

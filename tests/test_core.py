@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from deltalab import ck, core, crosscheck, l1, muntz
+from deltalab import ck, core, crosscheck, l1, muntz, sums
 
 
 def atoms(*masses):
@@ -424,3 +425,78 @@ def test_certificate_rejects_hollow_margin():
         refutation=core.Refutation(refuter=None, bound=F(2), margin=F(0)))
     with pytest.raises(core.VerificationError):
         cert.recheck()
+
+
+# ---------------------------------------------------------------------------
+# far families: one mutation per fact and per producer
+
+
+C_ONE = ck.TailSequence((), 1)
+L1N = sums.AbsoluteNorm.l1()
+HALVES = l1.MeasureModel((("a", F(1, 2), "NONATOMIC"), ("b", F(1, 2), "NONATOMIC")))
+L1_F, L1_T = sf(HALVES, 1, -1), sf(HALVES, F(1, 2), F(1, 2))
+
+
+# name -> (module whose check the producer calls, that check, producer)
+PRODUCERS = {
+    "ck witness": (ck, "verify_far_family", lambda: ck.daugavet_witness_ck(
+        C_ONE, ck.TailSequence((F(1, 2),), 0), F(1, 10), 4)),
+    "l1 witness": (l1, "far_distance", lambda: l1.daugavet_witness_l1(
+        L1_F, l1.StepFunctional(HALVES, (1, 0)), F(1, 2), F(1, 10))),
+    "l1 delta_family": (l1, "verify_far_family", lambda: l1.delta_family(
+        L1_F, L1_T, F(1, 4))),
+    "sum construct": (sums, "verify_far_family", lambda: sums.sum_daugavet_construct(
+        C_ONE, C_ONE, L1N, F(1, 2), F(1, 2), [sums.SumPoint(C_ONE, 0 * C_ONE, L1N)],
+        eps=F(1, 5), delta=F(1, 10))),
+    "sum lift": (sums, "verify_far_family", lambda: sums.sum_delta_lift(
+        C_ONE, C_ONE, L1N, F(1, 2), F(1, 2), eps=F(1, 2), gamma=F(1, 5))),
+}
+
+# name -> ((anchor, members, weights) -> (members, weights), the message it raises)
+MUTATIONS = {
+    "inside 2 - eps": (lambda anchor, ms, ws: ([anchor, *ms[1:]], ws), "at distance"),
+    "outside the ball": (lambda anchor, ms, ws: ([2 * ms[0], *ms[1:]], ws), "unit ball"),
+    "weight changed": (lambda anchor, ms, ws: (ms, [2 * ws[0], *ws[1:]]), "sum to 1"),
+}
+
+
+@pytest.mark.parametrize("producer, mutation", [
+    (p, m) for p in PRODUCERS for m in MUTATIONS
+    # the l1 witness is one far point: its weight lives only in its record
+    if (p, m) != ("l1 witness", "weight changed")])
+def test_producers_reject_a_mutated_family(producer, mutation, monkeypatch):
+    module, name, produce = PRODUCERS[producer]
+    mutate, message = MUTATIONS[mutation]
+    check = getattr(core, name)
+    produce()
+
+    def mutated(anchor, members, *rest):
+        if name == "far_distance":
+            return check(anchor, mutate(anchor, list(members), [F(1)])[0], *rest)
+        weights, *rest = rest
+        return check(anchor, *mutate(anchor, list(members), list(weights)), *rest)
+
+    monkeypatch.setattr(module, name, mutated)
+    with pytest.raises(core.VerificationError, match=message):
+        produce()
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("producer", ["ck witness", "l1 witness"])
+def test_recheck_rejects_a_mutated_record(producer, mutation):
+    cert = PRODUCERS[producer][2]().certificate
+    (rec,) = cert.witness
+    mutate, message = MUTATIONS[mutation]
+    members, weights = mutate(rec.anchor, *map(list, zip(*rec.members)))
+    bad = dataclasses.replace(rec, members=tuple(zip(members, weights)))
+    assert cert.recheck()
+    with pytest.raises(core.VerificationError, match=message):
+        dataclasses.replace(cert, witness=(bad,)).recheck()
+
+
+def test_recheck_rejects_a_wrong_min_distance():
+    cert = PRODUCERS["ck witness"][2]().certificate
+    (rec,) = cert.witness
+    bad = dataclasses.replace(rec, min_distance=rec.min_distance - F(1, 10**12))
+    with pytest.raises(core.VerificationError, match="re-derived"):
+        dataclasses.replace(cert, witness=(bad,)).recheck()

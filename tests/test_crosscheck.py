@@ -143,7 +143,7 @@ def test_ck_orbit_reduction_keeps_members_the_shared_prefix_tells_apart():
         assert reduced[-3:-1] == [*wit.members[:2]]
         assert core.hull_distance(g, shared + [*wit.members]) == want
         assert core.hull_distance(g, reduced) == want
-        assert core.hull_distance(g, shared + [wit.average]) == collapsed != want
+        assert core.hull_distance(g, shared + [core.mean(wit.members)]) == collapsed != want
 
 
 def test_ck_orbit_hull_checks_its_members():

@@ -266,9 +266,9 @@ def test_octahedral_l2_fails_with_gap():
     for p in (1.000001, 1e6):
         res = sums.is_positively_octahedral(sums.AbsoluteNorm.lp(p))
         assert (res.verdict, res.exact) == (False, True) and res.value > 2 - 1e-6
-    # a polygon without witness reports the grid maximum, labelled exact
+    # a polygon without witness reports the float grid maximum, not exact
     res = sums.is_positively_octahedral(OCTAGON)
-    assert (res.verdict, res.witness, res.value, res.exact) == (False, None, 1.875, True)
+    assert (res.verdict, res.witness, res.value, res.exact) == (False, None, 1.875, False)
 
 
 def test_alpha_verdicts():
@@ -346,23 +346,24 @@ def test_far_average_checks_are_exact():
     anchor = sums.SumPoint(h * ONE, h * ONE, L1N)
     a, b = ck.TailSequence((-h,), h), ck.TailSequence((h, -h), h)
     members = [sums.SumPoint(a, a, L1N), sums.SumPoint(b, b, L1N)]
-    assert sums._verify_far_average(anchor, members, eps, anchor, 1, "test") == (2.0, 1.0)
-    # repeated members are counted by multiplicity: the average is (2a + b)/3
+    halves, thirds = [h, h], [F(1, 3)] * 3
+    verify = core.verify_far_family
+    assert verify(anchor, members, halves, anchor, eps, 1) == (2, 1)
+    # a repeated member is measured once, its weights summed: the average is (2a + b)/3
     twice = [members[0]] + members
-    combo = core.convex_combination(twice, [F(1, 3)] * 3)
+    combo = core.convex_combination(twice, thirds)
     err = anchor.distance(combo)
-    assert sums._verify_far_average(anchor, twice, eps, anchor, err, "test") == (2.0, float(err))
-    with pytest.raises(core.VerificationError, match="average misses"):
-        sums._verify_far_average(anchor, twice, eps, anchor, err - tiny, "test")
+    assert verify(anchor, twice, thirds, anchor, eps, err) == (2, err)
+    with pytest.raises(core.VerificationError, match="misses the target"):
+        verify(anchor, twice, thirds, anchor, eps, err - tiny)
     # a member moved 1e-12 inside 2 - eps, and an average 1e-12 past the
     # bound, fail: both sides are exact, so no float slack forgives them
     moved = ck.TailSequence((-h + eps + tiny,), h)
     assert anchor.distance(sums.SumPoint(moved, a, L1N)) == 2 - eps - tiny
     with pytest.raises(core.VerificationError, match="member at distance"):
-        sums._verify_far_average(anchor, members + [sums.SumPoint(moved, a, L1N)],
-                                 eps, anchor, 2, "test")
-    with pytest.raises(core.VerificationError, match="average misses"):
-        sums._verify_far_average(anchor, members, eps, anchor, 1 - tiny, "test")
+        verify(anchor, members + [sums.SumPoint(moved, a, L1N)], thirds, anchor, eps, 2)
+    with pytest.raises(core.VerificationError, match="misses the target"):
+        verify(anchor, members, halves, anchor, eps, 1 - tiny)
 
 
 # ---------------------------------------------------------------------------
