@@ -36,12 +36,10 @@ SEED = 404
 
 # (cluster, who still needs it, its functions)
 CLUSTERS = (
-    ("the exact LP path", "ROADMAP item 5 (the verified fallback)",
+    ("the exact LP path", "the reference of tests/test_core.py and "
+     "tests/test_crosscheck.py; ROADMAP item 5 (verified fallback)",
      ("lp._pivot", "lp._run_simplex", "lp.simplex_exact", "core.hull_norm_rows",
       "core.hull_distance_info", "core.hull_distance")),
-    ("the Muntz separation path", "ROADMAP items 8 and 15",
-     ("muntz.separation_check_muntz", "muntz._locate_peaks",
-      "muntz.PointEvaluationFunctional.__call__", "core._hull_distance_exchange")),
     ("the ck slice polytope", "the diameter-two test of tests/test_core.py",
      ("ck.SequenceFunctional.slice_polytope", "core.cube_slice_vertices")),
     ("the delta_family hooks", "the l1 and Muntz sum constructions of tests/test_sums.py",

@@ -11,8 +11,9 @@ ball B and sphere S:
 
 The kernel works over duck-typed payload points (step functions, truncated
 sequences, generalized polynomials).  Polyhedral payloads expose an exact
-coordinate embedding; the sup-norm payloads expose certified enclosures and
-are handled by a cutting-plane loop.
+coordinate embedding, and hull distances are linear programs over it; the
+Muntz payloads expose certified sup-norm enclosures and have no hull
+distance (`NotPolyhedralError`).
 
 Delta and Daugavet verdicts come from each model's characterization theorem;
 `crosscheck` checks them against hull distances.  Slices enter only through
@@ -94,7 +95,7 @@ def num_from_json(v):
 
 class Functional:
     """Base class for dual elements; subclasses live with their space model
-    and define `__call__(point)` and `dual_norm()`."""
+    and define `dual_norm()`, and the polyhedral ones `__call__(point)`."""
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,7 @@ class Certificate:
 @dataclass(frozen=True)
 class HullResult:
     value: Any
-    lower: Any
-    upper: Any
     weights: tuple
-    iterations: int = 0
 
 
 def _hull_form(k, embeddings, point_entries):
@@ -303,14 +301,16 @@ def hull_norm_lp(k, embeddings):
 
 def _hull_embedding(targets, points):
     """`hull_embedding` of [*targets, *points] after the nonempty and
-    same-space checks; None for payloads without a polyhedral embedding."""
+    same-space checks."""
     if not points:
         raise DeltaLabError("hull_distance needs a nonempty point list")
     spaces = {p.space for p in (*targets, *points)}
     if len(spaces) != 1:
         raise MixedSpaceError(f"mixed spaces {sorted(spaces)}")
     embed = getattr(type(points[0]), "hull_embedding", None)
-    return None if embed is None else embed([*targets, *points])
+    if embed is None:
+        raise NotPolyhedralError(f"{type(points[0]).__name__} has no polyhedral embedding")
+    return embed([*targets, *points])
 
 
 # Consecutive hull LPs of `hull_distances` share one HiGHS solve until the
@@ -357,10 +357,7 @@ def hull_distances(groups):
     _STACK_NNZ nonzeros; a larger LP runs alone."""
     out, stack, nnz = [], [], 0
     for points, targets in groups:
-        embedding = _hull_embedding(targets, points)
-        if embedding is None:
-            raise NotPolyhedralError(f"{type(points[0]).__name__} has no polyhedral embedding")
-        kind, weights, vectors = embedding
+        kind, weights, vectors = _hull_embedding(targets, points)
         row, col, val, rhs, [cost] = hull_norm_floats(
             len(points), [(kind, weights, vectors[:1] + vectors[len(targets):])])
         for values in vectors[:len(targets)]:
@@ -376,65 +373,17 @@ def hull_distances(groups):
     return out
 
 
-# Cutting-plane rounds of `hull_distance_info` on the sup-norm payloads.
-_HULL_MAX_ROUNDS = 200
-
-
-def hull_distance_info(target, points, tol=1e-9):
-    """Distance from `target` to the convex hull of `points`, with weights.
-
-    Polyhedral payloads reduce to one linear program, solved by the exact
-    rational simplex (float distances come from `hull_distances`).  Sup-norm
-    payloads run a cutting-plane loop: a master LP on finitely many
-    evaluation nodes gives a lower bound, a certified sup-norm of the
-    achieved residual gives an upper bound, and nodes are added until the
-    gap is at most `tol`.
-    """
-    embedding = _hull_embedding([target], points)
-    if embedding is None:
-        return _hull_distance_exchange(target, points, tol)
+def hull_distance_info(target, points):
+    """Distance from `target` to the convex hull of `points`, with weights,
+    on the polyhedral payloads: one linear program, solved by the exact
+    rational simplex (float distances come from `hull_distances`)."""
     k = len(points)
-    row, col, val, rhs, [cost] = hull_norm_rows(k, [embedding])
+    row, col, val, rhs, [cost] = hull_norm_rows(k, [_hull_embedding([target], points)])
     rows = [[0] * len(cost) for _ in rhs]
     for r, c, v in zip(row, col, val):
         rows[r][c] = v
     value, z = lp.simplex_exact(cost, rows, rhs)
-    return HullResult(value=value, lower=value, upper=value, weights=tuple(z[:k]),
-                      iterations=1)
-
-
-def _hull_distance_exchange(target, points, tol):
-    sup_enclosure = getattr(type(target), "sup_enclosure", None)
-    eval_u = getattr(type(target), "eval_u", None)
-    if sup_enclosure is None or eval_u is None:
-        raise NotPolyhedralError(
-            f"{type(target).__name__} has neither a polyhedral embedding nor certified sup-norms"
-        )
-    k = len(points)
-    nodes = [Fraction(j, 8) for j in range(9)]  # u-coordinates, u = 1 - t
-    for p in points:
-        enc = (target - p).sup_enclosure(max(tol, 1e-12))
-        nodes.append(enc.at_u)
-    nodes = sorted(set(nodes))
-
-    for rounds in range(1, _HULL_MAX_ROUNDS + 1):
-        # min t with |target(u) - sum lam p(u)| <= t on the nodes, sum lam = 1
-        values = [[q.eval_u(u) for u in nodes] for q in (target, *points)]
-        a, b, (cost,) = hull_norm_lp(k, [("winf", None, values)])
-        lower, z = lp.simplex_float(cost, a, b)
-        lam = z[:k]
-        residual = target - convex_combination(points, [float(v) for v in lam])
-        enc = residual.sup_enclosure(max(tol * 0.25, 1e-13))
-        upper = enc.hi
-        if upper - lower <= tol:
-            return HullResult(value=upper, lower=lower, upper=upper,
-                              weights=tuple(float(v) for v in lam), iterations=rounds)
-        if enc.at_u in nodes:
-            # stagnated node set: bisect around the active maximizer
-            nodes.extend([enc.at_u / 2, (enc.at_u + 1) / 2])
-        nodes.append(enc.at_u)
-        nodes = sorted(set(nodes))
-    raise CertificationError(f"hull distance gap > {tol} after {_HULL_MAX_ROUNDS} rounds")
+    return HullResult(value=value, weights=tuple(z[:k]))
 
 
 def convex_combination(points, weights):

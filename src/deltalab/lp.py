@@ -4,13 +4,13 @@ Two backends solve the same standard form  min c.z  s.t.  A z = b, z >= 0:
 
 * ``simplex_exact`` -- a two-phase tableau simplex over ``Fraction`` entries
   with Bland's smallest-index pivot rule (deterministic, anticycling).  Its
-  only caller is ``core.hull_distance_info`` on polyhedral payloads, which
-  only the public ``hull_distance[_info]`` reach.
+  only caller is ``core.hull_distance_info``, which only the public
+  ``hull_distance[_info]`` reach.
 * ``simplex_float`` -- scipy's HiGHS solver on the identical matrices,
   dense or scipy-sparse.  ``core.hull_distances`` passes block-diagonal
   stacks of small hull LPs, one per target of its (points, targets)
-  groups (every ck crosscheck distance), and ``sums.hull_lower_bound_scalarized``
-  and the Muntz master LP of ``core._hull_distance_exchange`` one LP each.
+  groups (every ck crosscheck distance), and
+  ``sums.hull_lower_bound_scalarized`` one LP.
 
 The hull LPs that feed both share one layout: ``core.hull_norm_rows``
 writes it exactly for ``simplex_exact``, ``core.hull_norm_floats`` in

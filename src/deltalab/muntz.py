@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .core import (
     VerificationError,
     Verdict,
     convex_combination,
-    hull_distance_info,
     num_from_json,
     num_to_json,
 )
@@ -41,8 +40,6 @@ from .util import UNIT_TOL, as_fraction, sgn
 
 NORM_TOL = 1e-10
 _BB_MAX_NODES = 400_000  # branch-and-bound nodes of one `sup_abs_bb` call
-_PEAK_TOL = 1e-7         # a peak of `_locate_peaks` has |f| >= 1 - _PEAK_TOL
-_PEAK_SEPARATION = 1e-4  # of two peaks closer than this the right one is dropped
 
 
 class LadderExhaustedError(DeltaLabError):
@@ -345,9 +342,6 @@ class MuntzPolynomial:
     def eval_u(self, u) -> float:
         return _eval_pairs_u(_float_terms(self.exponent_pairs()), float(self.const), float(u))
 
-    def eval_t(self, t) -> float:
-        return self.eval_u(1.0 - float(t))
-
     def derivative_value(self, t: float) -> float:
         """p'(t) in t coordinates, with 0^0 = 1."""
         total = 0.0
@@ -413,16 +407,6 @@ class PointEvaluationFunctional(Functional):
         object.__setattr__(
             self, "nodes",
             tuple((float(u), as_fraction(c)) for u, c in self.nodes))
-
-    def __call__(self, p: MuntzPolynomial):
-        total = Fraction(0)
-        inexact = 0.0
-        for u, c in self.nodes:
-            if u == 0.0:
-                total += c * p.at_one()
-            else:
-                inexact += float(c) * p.eval_u(u)
-        return float(total) + inexact if inexact else total
 
     def dual_norm(self):
         return sum((abs(c) for _, c in self.nodes), Fraction(0))
@@ -538,8 +522,7 @@ def is_daugavet_point_muntz(f: MuntzPolynomial):
             refuter=PointEvaluationFunctional(((0.0, Fraction(sgn(f1) or 1)),)),
             bound=Fraction(0),
             margin=Fraction(1) - abs(f1),
-            note="norm not attained at 1; interior peaks separate far candidates "
-                 "(see separation_check_muntz)"),
+            note="not a Delta point: |f(1)| < 1 (theorem-backed, no quantitative bound)"),
         log=(("f(1)", f1),),
     )
     return False, cert
@@ -788,133 +771,6 @@ def bernstein_estimate(ladder: ExponentLadder, terms: int, s, grid_n: int) -> Be
     lower = deriv / enc.hi if enc.hi > 0 else 0.0
     return BernsteinResult(lower_bound=lower, grid_value=grid_value, at=at,
                            coeffs=coeffs, norm_hi=enc.hi, lp_solves=solves)
-
-
-# ---------------------------------------------------------------------------
-# separation of non-endpoint-norming points from their far sets
-
-
-@dataclass(frozen=True)
-class PeakData:
-    peaks: tuple
-    off_peak_max: float
-    half_width: float
-    eps_max: float
-    bernstein: Optional[BernsteinResult]
-
-
-@dataclass(frozen=True)
-class SeparationRow:
-    index: int
-    status: str          # "verified" | "skipped"
-    note: str
-    peak: Optional[float] = None
-    peak_gap: Optional[float] = None
-    distance_lo: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    rows: tuple
-    peaks: PeakData
-    hull_lower: Optional[float]
-    hull_value: Optional[float]
-    eps: float
-
-
-def _locate_peaks(f: MuntzPolynomial):
-    """Interior points t where |f| attains its unit norm, increasing: the
-    midpoints of the zero pieces of f' at which |f| >= 1 - _PEAK_TOL.  Of two
-    peaks closer than _PEAK_SEPARATION the right one is dropped."""
-    peaks = []
-    for a, b in reversed(_zero_pieces(_derivative_pairs(f.exponent_pairs()))):
-        u = 0.5 * (a + b)
-        if abs(f.eval_u(u)) >= 1 - _PEAK_TOL and not (
-                peaks and 1 - u - peaks[-1] < _PEAK_SEPARATION):
-            peaks.append(1 - u)
-    return peaks
-
-
-def separation_check_muntz(f: MuntzPolynomial, candidates: Sequence[MuntzPolynomial],
-                           eps) -> SeparationReport:
-    """For |f(1)| < 1: each far candidate must beat distance 1 at a peak of
-    |f|, and the batch stays a guaranteed hull distance > eps away from f.
-
-    eps must clear the threshold min(1/(2m), 1 - off-peak max, 1/4) computed
-    from the m peaks of `_locate_peaks`, with the off-peak max a certified
-    enclosure; candidates that are not certifiably far are skipped with a
-    note.
-    """
-    eps = float(eps)
-    _require_constant_free(f.ladder)
-    _require_certified_unit(f)
-    f1 = f.at_one()
-    if abs(f1) >= 1 - UNIT_TOL:
-        raise DeltaLabError("separation needs |f(1)| < 1")
-
-    peaks = _locate_peaks(f)
-    if not peaks:
-        raise CertificationError("could not locate any norm-attaining peak")
-    m = len(peaks)
-    y_m = max(peaks)
-    s = (1 + y_m) / 2
-
-    gaps = [peaks[0]] + [b - a for a, b in zip(peaks, peaks[1:])] + [1 - y_m]
-    half = min(min(gaps) / 2, (1 - y_m) * 0.9) / 2
-    bern = None
-    try:
-        max_k = max(k for k, _ in f.terms)
-        bern = bernstein_estimate(f.ladder, max_k, s, 128)
-        if bern.lower_bound > 0:
-            half = min(half, 0.49 / bern.lower_bound)
-    except DeltaLabError:
-        pass
-
-    segments = []
-    lo = 0.0
-    for y in peaks:
-        segments.append((lo, max(lo, y - half)))
-        lo = min(1.0, y + half)
-    segments.append((lo, 1.0))
-    off_max = 0.0
-    for a, b in segments:
-        if b - a <= 0:
-            continue
-        enc = f.sup_enclosure(1e-9, u_lo=1 - b, u_hi=1 - a)
-        off_max = max(off_max, enc.hi)
-    eps_max = min(1 / (2 * m), 1 - off_max, 0.25)
-    if not eps < eps_max:
-        raise DeltaLabError(f"eps = {eps} must be below the threshold {eps_max}")
-
-    rows, accepted = [], []
-    for i, p in enumerate(candidates):
-        enc_d = (f - p).sup_enclosure(1e-9)
-        if enc_d.lo < 2 - eps:
-            rows.append(SeparationRow(i, "skipped",
-                                      f"not certifiably far: ||f-p|| <= {enc_d.hi}"))
-            continue
-        t_at = 1 - enc_d.at_u
-        k = min(range(m), key=lambda j: abs(peaks[j] - t_at))
-        if abs(peaks[k] - t_at) > half + 1e-9:
-            raise VerificationError(
-                f"far distance attained at t={t_at}, outside every peak interval")
-        gap = abs(f.eval_t(peaks[k]) - p.eval_t(peaks[k]))
-        if not gap > 1:
-            raise VerificationError(
-                f"candidate {i}: |f(y_k) - p(y_k)| = {gap} <= 1 at y_k = {peaks[k]}")
-        rows.append(SeparationRow(i, "verified", "", peak=peaks[k], peak_gap=gap,
-                                  distance_lo=enc_d.lo))
-        accepted.append(p)
-
-    hull_lower = hull_value = None
-    if accepted:
-        res = hull_distance_info(f, accepted, tol=min(eps / 10, 1e-3))
-        hull_lower, hull_value = res.lower, res.value
-        if not hull_lower > eps:
-            raise VerificationError(
-                f"batch hull distance lower bound {hull_lower} fails to clear eps = {eps}")
-    peakdata = PeakData(tuple(peaks), off_max, half, eps_max, bern)
-    return SeparationReport(tuple(rows), peakdata, hull_lower, hull_value, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,10 @@ class AbsoluteNorm:
         if spec.startswith("lp:"):
             return cls.lp(float(spec[3:]))
         if spec.startswith("poly:"):
-            verts = ast.literal_eval(spec[5:])
+            try:
+                verts = ast.literal_eval(spec[5:])
+            except (SyntaxError, ValueError, TypeError, RecursionError):
+                raise DeltaLabError(f"cannot parse norm spec {spec!r}") from None
             return cls.polygon(verts)
         raise DeltaLabError(f"cannot parse norm spec {spec!r}")
 

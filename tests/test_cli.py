@@ -159,11 +159,19 @@ HALF_POLY = 'poly:[(1,"1/2"),("1/2",1)]'
     (HALF_POLY, "octahedral", {"verdict": False, "value": "1.75", "exact": False}),
     (HALF_POLY, "alpha",
      {"verdict": "UNDECIDED", "note": "neither octahedral nor strictly convex"}),
-], ids=["square-octahedral", "octagon-octahedral", "octagon-alpha"])
+    ("poly:[(1,1)", "octahedral", None),
+    ("poly:((1,1),))", "octahedral", None),
+], ids=["square-octahedral", "octagon-octahedral", "octagon-alpha", "unclosed-list",
+        "extra-paren"])
 def test_sums_polygon_norms(norm, check, expected, capsys):
     code, out = run_cli(["sums", "--norm", norm, "--check", check], capsys)
+    report = json.loads(out)
+    if expected is None:  # a malformed spec is an input error, not a traceback
+        assert code == 1 and report["results"] == []
+        assert report["error"] == f"DeltaLabError: cannot parse norm spec {norm!r}"
+        return
     assert code == 0
-    res = json.loads(out)["results"][0]
+    res = report["results"][0]
     assert res["norm"] == norm  # the label is the spec itself
     assert {k: res[k] for k in expected} == expected
 

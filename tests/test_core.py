@@ -148,6 +148,8 @@ def test_hull_distances_keep_order_across_stacks(monkeypatch, float_solves):
 def test_hull_distances_need_polyhedral_points():
     with pytest.raises(core.NotPolyhedralError):
         core.hull_distances([([T], [T])])
+    with pytest.raises(core.NotPolyhedralError):
+        core.hull_distance_info(T, [T])
 
 
 def test_l1_crosscheck_solves_no_lp(monkeypatch):
@@ -228,7 +230,7 @@ def seq(prefix, limit=None, variant=ck.Variant.C):
 
 
 def muntz_master_values():
-    # the values the Muntz master LP embeds: each point on the u-nodes
+    # a "winf" embedding with float entries: Muntz point values on u-nodes
     ladder = muntz.ExponentLadder.squares()
     points = [muntz.MuntzPolynomial(ladder, ((1, F(1, 2)), (2, F(-1, 2)))),
               muntz.MuntzPolynomial.monomial(ladder, 3, -1)]

@@ -9,6 +9,7 @@ as `Rank1Operator` may be tested anywhere.
 """
 
 import ast
+import importlib.util
 import inspect
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import deltalab
-from deltalab import ck, l1, sums
+from deltalab import ck, l1, muntz, sums
 
 MODELS = {"l1.py", "ck.py", "muntz.py", "sums.py"}
 PAYLOAD_CLASSES = {"StepFunction", "TailSequence", "MuntzPolynomial", "SumPoint",
@@ -155,3 +156,21 @@ def test_crosscheck_setup_takes_point_tol_rng():
             assert theorem and all(len(targets) == 1 and count > len(pts) > 0
                                    and all(p.space == name for p in pts)
                                    for pts, targets in groups)
+
+
+def test_bench_tracer_names_resolve():
+    # the bench tracer wraps these by name; a rename or deletion here would
+    # break `bench/run.py --trace 1` and nothing else would notice
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [*tracer.TRACED, *(("serialize", attr) for attr in tracer.SERIALIZE)]
+    for mod, attr in names:
+        owner = getattr(deltalab, mod)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{mod}.{attr}"
+    # the spike wrapper binds the arguments and reads these four
+    assert {"ladder", "eps", "delta", "norm_tol"} <= set(
+        inspect.signature(muntz.spike_search).parameters)

@@ -196,6 +196,16 @@ def test_zero_piece_of_t_minus_t4_derivative_is_tight():
     assert 1 - b <= 4 ** (-1 / 3) <= 1 - a and b - a <= 1e-12 * (1 - b)
 
 
+def test_zero_pieces_find_a_deep_peak():
+    # the spike peaks at u = 1 - t ~ 1e-10, between the points of any t-grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = muntz.spike_search(LAD, 1e-9, 0.05)
+        pieces = muntz._zero_pieces(muntz._derivative_pairs(sp.f.exponent_pairs()))
+        (a, b), = [(a, b) for a, b in pieces if a <= sp.peak_u <= b]
+        assert abs(sp.f.eval_u(0.5 * (a + b))) >= 1 - 1e-7
+
+
 def test_derivative_pairs_drop_vanishing_terms():
     assert muntz._derivative_pairs(muntz._derivative_pairs(T.exponent_pairs())) == []
 
@@ -222,7 +232,7 @@ def test_spike_nonnegative_and_vanishing_at_one():
     lam_k, lam_l = LAD.lambda_at(sp.k), LAD.lambda_at(sp.l)
     assert lam_k < lam_l  # structural nonnegativity on [0,1]
     for t in np.linspace(0, 1, 101):
-        assert sp.f.eval_t(float(t)) >= -1e-12
+        assert sp.f.eval_u(1 - t) >= -1e-12
 
 
 def test_spike_ladder_exhaustion():
@@ -240,6 +250,8 @@ def test_daugavet_decision_examples():
     assert muntz.is_daugavet_point_muntz(-T)[0]
     ok, cert = muntz.is_daugavet_point_muntz(normalized(T_MINUS_T4))
     assert not ok and cert.verdict is core.Verdict.DELTA_NO
+    assert cert.refutation.note == (
+        "not a Delta point: |f(1)| < 1 (theorem-backed, no quantitative bound)")
 
 
 def test_daugavet_decision_refuses_constants_and_small_ladders():
@@ -386,49 +398,6 @@ def test_bernstein_failed_objective_lp_is_a_degenerate_grid(monkeypatch, error):
     monkeypatch.setattr(lp, "linprog_mixed", fail)
     with pytest.raises(core.DeltaLabError, match="^degenerate grid: HiGHS gave up$"):
         muntz.bernstein_estimate(LAD, 3, 0.5, 16)
-
-
-# ---------------------------------------------------------------------------
-# separation of interior-peaked points
-
-
-def test_separation_example():
-    f = normalized(T_MINUS_T4)
-    rep = muntz.separation_check_muntz(f, [-f, T_MINUS_T4], eps=0.02)
-    assert rep.rows[0].status == "verified"
-    assert rep.rows[0].peak_gap > 1
-    assert abs(rep.rows[0].peak - 0.25 ** (1 / 3)) < 1e-4
-    assert rep.rows[1].status == "skipped"  # ||f - p|| < 2 - eps
-    assert rep.hull_lower > 0.02
-
-
-def test_hull_distance_closed_form():
-    # the master LP brackets sup |t - t^4| = (3/4) 4^(-1/3) from both sides
-    tol = 1e-9
-    res = core.hull_distance_info(T, [poly((2, 1))], tol=tol)
-    assert res.lower <= T_MINUS_T4_NORM <= res.value
-    assert res.value - res.lower <= tol
-    assert res.weights == pytest.approx((1.0,))
-
-
-def test_separation_threshold_enforced():
-    f = normalized(T_MINUS_T4)
-    with pytest.raises(core.DeltaLabError):
-        muntz.separation_check_muntz(f, [-f], eps=0.3)
-
-
-def test_separation_finds_deep_peak():
-    # the peak sits at 1 - t ~ 1e-10, between the points of any t-grid
-    f = muntz.spike_search(LAD, 1e-9, 0.05).f
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = muntz.separation_check_muntz(f, [-f], eps=0.01)
-    assert rep.rows[0].status == "verified"
-
-
-def test_separation_rejects_endpoint_normers():
-    with pytest.raises(core.DeltaLabError):
-        muntz.separation_check_muntz(T, [-T], eps=0.01)
 
 
 # ---------------------------------------------------------------------------
