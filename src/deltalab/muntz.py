@@ -2,9 +2,12 @@
 
 Working objects are generalized polynomials sum_k a_k t^{lam_k} over an
 exponent ladder 0 < lam_1 < lam_2 < ... with sum 1/lam_n < oo (the closed
-span without constants).  Sup norms come with certified enclosures from one
-kernel, the interval branch-and-bound `sup_abs_bb`.  Peaks and sign changes
-come from `_zero_pieces`, a bisection on the same interval enclosure.
+span without constants).  Sup norms come with certified enclosures from the
+interval branch-and-bound `sup_abs_bb`.  The one exception is a window of a
+two-term spike, which has a single peak: its sup is a padded point value
+(`_spike_window_sup`), and only the spike's normalization runs `sup_abs_bb`.
+Peaks and sign changes come from `_zero_pieces`, a bisection on the same
+interval enclosure.
 
 Everything near the right endpoint is parametrized by u = 1 - t and powers
 evaluate as exp(lam * log1p(-u)).  The witness chains need exponents around
@@ -324,7 +327,10 @@ class MuntzPolynomial:
         for k, c in self.terms:
             c = as_fraction(c)
             if c != 0:
-                clean[int(k)] = clean.get(int(k), Fraction(0)) + c
+                # a lone coefficient is kept as given, so sums share the
+                # coefficient objects of the terms they do not touch
+                k = int(k)
+                clean[k] = clean[k] + c if k in clean else c
         terms = tuple(sorted((k, c) for k, c in clean.items() if c != 0))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "const", as_fraction(self.const))
@@ -421,8 +427,8 @@ class Spike:
     k: int
     l: int
     f: MuntzPolynomial
-    norm_enclosure: Enclosure
-    off_interval_sup: float  # certified sup over [0, 1-eps]
+    norm_enclosure: Enclosure  # the unscaled pair's enclosure, scaled outward
+    off_interval_sup: float  # certified sup over [0, 1-eps]: a padded point bound
     peak_u: float
 
 
@@ -447,6 +453,35 @@ def bump_log_sup(lam_a, lam_b) -> float:
 #: ln(1/2) plus a margin that the float error of bump_log_sup cannot cross
 FAR_LOG = math.log(0.5) + 1e-9
 
+#: relative margin of the side test in `_spike_window_sup`; the float error
+#: of either side is a few ulps
+_SIDE_MARGIN = 1e-12
+
+
+def _spike_window_sup(pairs, u: float, rising: bool) -> float:
+    """Certified sup of a spike p = c (t^a - t^b), c > 0 and 0 < a < b, over
+    the u-window [0, u] (rising) or [u, 1] (falling); inf when u is not
+    certified to lie on that side of the peak.
+
+    Lemma: in u = 1 - t, p'(u) = c (1-u)^{a-1} (b (1-u)^{b-a} - a), so p
+    rises on [0, u*] and falls on [u*, 1], u* = 1 - (a/b)^{1/(b-a)}
+    (Borwein & Erdelyi, GTM 161).  u lies on the rising side iff
+    (b-a) log1p(-u) >= ln(a/b), on the falling side iff <=.  Both sides are
+    computed to a few ulps (ln(a/b) < 0 as -log1p((b-a)/a) from the exact
+    ratio), so the test, with relative margin _SIDE_MARGIN on ln(a/b), is
+    certified.  The sup over the window is then p(u) itself (p = 0 at both
+    ends of [0, 1]), padded by the rounding slack of the bounds in
+    `sup_abs_bb`.
+    """
+    (a, _), (b, _) = pairs
+    gap = b - a
+    x = float(gap) * math.log1p(-u)
+    x_peak = -math.log1p(float(gap / a))  # ln(a/b), x at u*
+    if not (x > x_peak * (1 - _SIDE_MARGIN) if rising else x < x_peak * (1 + _SIDE_MARGIN)):
+        return math.inf
+    v = abs(_eval_pairs_u(_float_terms(pairs), 0.0, u))
+    return v + 1e-15 * (2 * v + 1)
+
 
 def spike_search(ladder: ExponentLadder, eps, delta, norm_tol=NORM_TOL) -> Spike:
     """Normalized two-term bump (t^{lam_k} - t^{lam_l}) / norm: nonnegative,
@@ -456,8 +491,9 @@ def spike_search(ladder: ExponentLadder, eps, delta, norm_tol=NORM_TOL) -> Spike
     closed-form two-term peak bump_log_sup(lam_k, lam_l) > FAR_LOG, i.e.
     above 1/2 by a margin float error cannot cross.  Both predicates are
     monotone in the exponent, so binary search preserves minimality.  The
-    chosen bump is then certified by enclosures: its normalization, and its
-    sup below `delta` on [0, 1-eps].
+    chosen bump is then certified: its normalization by one `sup_abs_bb`
+    enclosure of the unscaled pair, scaled outward, and its sup below
+    `delta` on [0, 1-eps] by the unimodality lemma of `_spike_window_sup`.
     """
     eps, delta = float(eps), float(delta)
     if not (0 < eps < 1 and 0 < delta < 1):
@@ -471,20 +507,24 @@ def spike_search(ladder: ExponentLadder, eps, delta, norm_tol=NORM_TOL) -> Spike
 
     # lam <= lam_k gives -inf, so the predicate also keeps l above k
     l = ladder.min_index_where(lambda lam: bump_log_sup(lam_k, lam) > FAR_LOG)
-    pairs = ((lam_k, Fraction(1)), (ladder.lambda_at(l), Fraction(-1)))
-    raw_enc = sup_abs_bb(pairs, Fraction(0), 0.0, 1.0, norm_tol)
+    lam_l = ladder.lambda_at(l)
+    raw_enc = sup_abs_bb(((lam_k, Fraction(1)), (lam_l, Fraction(-1))),
+                         Fraction(0), 0.0, 1.0, norm_tol)
     scale = as_fraction(2.0 / (raw_enc.lo + raw_enc.hi))
     f = MuntzPolynomial(ladder, ((k, scale), (l, -scale)))
 
-    enc = f.sup_enclosure(norm_tol)
+    # float(scale) is exact, so one outward step covers the product's rounding
+    s = float(scale)
+    enc = Enclosure(math.nextafter(s * raw_enc.lo, -math.inf),
+                    math.nextafter(s * raw_enc.hi, math.inf), raw_enc.at_u)
     if not (1 - 1e-8 <= enc.lo and enc.hi <= 1 + 1e-8):
         raise VerificationError(f"spike normalization drifted: [{enc.lo}, {enc.hi}]")
-    off = f.sup_enclosure(norm_tol, u_lo=eps, u_hi=1.0)
-    if not off.hi < delta:
+    off = _spike_window_sup(((lam_k, scale), (lam_l, -scale)), eps, rising=False)
+    if not off < delta:
         raise VerificationError(
-            f"spike not small on [0, 1-eps]: sup <= {off.hi} vs delta = {delta}")
+            f"spike not small on [0, 1-eps]: sup <= {off} vs delta = {delta}")
     # nonnegativity is structural: lam_k < lam_l and equal positive weights
-    return Spike(k=k, l=l, f=f, norm_enclosure=enc, off_interval_sup=off.hi,
+    return Spike(k=k, l=l, f=f, norm_enclosure=enc, off_interval_sup=off,
                  peak_u=enc.at_u)
 
 
@@ -502,7 +542,7 @@ def _require_constant_free(ladder: ExponentLadder):
 
 
 def _require_certified_unit(p: MuntzPolynomial) -> Enclosure:
-    enc = p.sup_enclosure(min(NORM_TOL, 1e-10))
+    enc = p.sup_enclosure(NORM_TOL)
     if not (enc.lo >= 1 - float(UNIT_TOL) - enc.width and enc.hi <= 1 + float(UNIT_TOL)):
         raise DeltaLabError(f"point must have unit norm, enclosure [{enc.lo}, {enc.hi}]")
     return enc
@@ -587,9 +627,10 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta) -
     for i in range(m):
         spike = spike_search(ff.ladder, eps=thresholds[-1], delta=delta / 2)
         spikes.append(spike)
+        pairs = spike.f.exponent_pairs()
         u_next = thresholds[-1] * 0.5
         for _ in range(4000):
-            if spike.f.sup_enclosure(scan_tol, 0.0, u_next).hi < delta / 2:
+            if _spike_window_sup(pairs, u_next, rising=True) < delta / 2:
                 break
             u_next *= 0.5
             if u_next < 1e-300:
@@ -600,6 +641,9 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta) -
 
     coef = g1 + 1
     scale = 1 / (1 + as_fraction(delta))
+    # member = scale * (g - coef f_i), written so every member shares the
+    # coefficients of scale * g
+    base, spike_coef = scale * gg, scale * coef
     members, dists = [], []
     for spike in spikes:
         gi = gg - coef * spike.f
@@ -607,7 +651,7 @@ def daugavet_witness_muntz(f: MuntzPolynomial, g: MuntzPolynomial, eps, delta) -
         if enc_gi.hi > (1 + delta) * (1 + 1e-9):
             raise VerificationError(
                 f"||g_i|| = {enc_gi.hi} exceeds 1 + delta (spike k={spike.k}, l={spike.l})")
-        member = scale * gi
+        member = base - spike_coef * spike.f
         s_u = spike.peak_u
         dist = abs(member.eval_u(s_u) - ff.eval_u(s_u))
         if dist < 2 - 3 * delta - 1e-8:

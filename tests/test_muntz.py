@@ -241,6 +241,72 @@ def test_spike_ladder_exhaustion():
         muntz.spike_search(short, 0.1, 0.01)
 
 
+# the spike window lemma: one peak at u*, so a window on one side of it
+# peaks at its inner end
+
+
+def _window_spikes():
+    """(eps, spike) for the SPIKE_GRID spikes and two deep ones."""
+    cases = [*SPIKE_GRID, (1e-9, 0.05), (1e-25, 0.05)]
+    return [(eps, muntz.spike_search(LAD, eps, delta)) for eps, delta in cases]
+
+
+def _mp_peak_u(mpmath, pairs):
+    """u* = 1 - (a/b)^{1/(b-a)} of the spike with these pairs."""
+    (a, _), (b, _) = pairs
+    a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (a, b))
+    return -mpmath.expm1(mpmath.log(a / b) / (b - a))
+
+
+def _mp_spike(mpmath, pairs, u):
+    (a, c), (b, _) = pairs
+    c = mpmath.mpf(c.numerator) / c.denominator
+    log_t = mpmath.log1p(-u)
+    return c * (mpmath.exp(int(a) * log_t) - mpmath.exp(int(b) * log_t))
+
+
+def test_spike_window_sup_is_inside_the_bb_enclosure():
+    for eps, sp in _window_spikes():
+        pairs = sp.f.exponent_pairs()
+        falling = [u for u in (eps, 2 * sp.peak_u, 16 * sp.peak_u) if u < 1]
+        windows = [(u, False) for u in falling]
+        windows += [(sp.peak_u / 2 ** j, True) for j in (1, 4, 16)]
+        for u, rising in windows:
+            bound = muntz._spike_window_sup(pairs, u, rising)
+            lo, hi = (0.0, u) if rising else (u, 1.0)
+            enc = muntz.sup_abs_bb(pairs, F(0), lo, hi, tol=1e-12)
+            assert enc.lo <= bound <= enc.hi + 1e-12, (sp.k, sp.l, u, rising)
+
+
+def test_spike_window_side_agrees_with_the_exact_peak():
+    mpmath = pytest.importorskip("mpmath")
+    for _, sp in _window_spikes():
+        pairs = sp.f.exponent_pairs()
+        with mpmath.workdps(50):
+            u_star = _mp_peak_u(mpmath, pairs)
+            below, above = float(u_star * (1 - 1e-6)), float(u_star * (1 + 1e-6))
+        assert muntz._spike_window_sup(pairs, below, rising=True) < math.inf
+        assert muntz._spike_window_sup(pairs, below, rising=False) == math.inf
+        assert muntz._spike_window_sup(pairs, above, rising=False) < math.inf
+        assert muntz._spike_window_sup(pairs, above, rising=True) == math.inf
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.1, 0.05])
+def test_witness_tail_thresholds_are_certified_and_minimal(delta):
+    mpmath = pytest.importorskip("mpmath")
+    wit = muntz.daugavet_witness_muntz(T, T, eps=0.7, delta=delta)
+    thresholds = wit.thresholds_u
+    for i, sp in enumerate(wit.spikes):
+        pairs, v = sp.f.exponent_pairs(), thresholds[i + 1]
+        assert muntz.sup_abs_bb(pairs, F(0), 0.0, v, tol=1e-12).hi < delta / 2
+        if v < thresholds[i] / 2:
+            # the halving before v was rightly refused: the sup over
+            # [0, 2v], at 2v or at the peak, reaches delta/2
+            with mpmath.workdps(50):
+                w = min(2 * mpmath.mpf(v), _mp_peak_u(mpmath, pairs))
+                assert _mp_spike(mpmath, pairs, w) >= delta / 2
+
+
 # ---------------------------------------------------------------------------
 # the endpoint characterization
 
@@ -301,6 +367,28 @@ def test_witness_flipped_anchor():
 def test_witness_requires_margin():
     with pytest.raises(core.DeltaLabError):
         muntz.daugavet_witness_muntz(T, T, eps=0.3, delta=0.2)  # 3*delta >= eps
+
+
+def test_witness_sup_enclosure_work_is_pinned(monkeypatch):
+    calls = []
+    bb = muntz.sup_abs_bb
+
+    def spy(pairs, *args, **kwargs):
+        calls.append([c for _, c in pairs])
+        return bb(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(muntz, "sup_abs_bb", spy)
+    wit = muntz.daugavet_witness_muntz(T, T, eps=0.7, delta=0.2)
+    m = wit.m
+    # the u_1 scan starts at 1/2, halves, and encloses f and g at each step
+    steps = 1 + round(math.log2(0.5 / wit.thresholds_u[0]))
+    assert steps == 3
+    # one enclosure per spike, of its unscaled pair: the tail loop and the
+    # off-window check make none
+    assert sum(c == [1, -1] for c in calls) == m
+    # normalizations, member norms, the average, the unit check of f and
+    # the ball check of g, and the scan
+    assert len(calls) == m + m + 1 + 2 + 2 * steps
 
 
 # ---------------------------------------------------------------------------
